@@ -26,7 +26,7 @@ import numpy as np
 from .basis import FAMILIES, BasisSpec, basis_size
 from .data import (FeatureTable, apply_standardizer, atomic_write_text,
                    fit_standardizer, load_table, mos_histogram, split)
-from .errors import KanregError, ParameterError, ParseError
+from .errors import FormatError, KanregError, ParameterError, ParseError
 from .linalg import Rng
 from .metrics import EvalReport, evaluate, paired_t_test, plcc, srcc
 from .network import (ModelBundle, auto_configure, forward, init_mlp,
@@ -204,6 +204,8 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     keys = _COMMAND_KEYS[command]
     resolved = {k: _DEFAULTS[k] for k in keys}
+    if command == "cross":
+        resolved["seed"] = None  # cmd_cross falls back to the model's training seed
     if getattr(args, "config", None):
         resolved.update(_read_config_file(args.config, keys, command))
     for key in keys:
@@ -417,6 +419,18 @@ def cmd_cross(cfg: dict) -> int:
     if cfg.get("model") is None:
         raise ParameterError("--model is required for cross")
     bundle = load_model(cfg["model"])
+    model_seed = bundle.meta.get("seed")
+    if model_seed is not None:
+        try:
+            model_seed = _parse_u64(str(model_seed))
+        except ValueError:
+            raise FormatError(f"model meta seed is not an integer: {model_seed!r}") from None
+    if cfg["seed"] is None:
+        cfg["seed"] = _DEFAULTS["seed"] if model_seed is None else model_seed
+    elif cfg["split"] == "test" and model_seed is not None and cfg["seed"] != model_seed:
+        print(f"cross: warning: --seed {cfg['seed']} differs from the model's training "
+              f"seed {model_seed}; the test split will not be the model's held-out rows",
+              file=sys.stderr)
     table = load_table(cfg["data"], cfg["format"])
     out_dir = _ensure_out(cfg)
     report_path = os.path.join(out_dir, "cross.csv")

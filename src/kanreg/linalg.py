@@ -126,8 +126,10 @@ class Rng:
         return self.next_u64() % bound
 
     def shuffle(self, seq) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
+        # the n-1 below(i + 1) draws, taken from the stream in one block
+        n = len(seq)
+        for i, r in zip(range(n - 1, 0, -1), self._bulk_u64(max(n - 1, 0))):
+            j = r % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
 

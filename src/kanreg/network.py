@@ -246,6 +246,8 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
 
     ``cache`` must come from a :func:`forward` call on the same network
     object with caching enabled, otherwise a ContractError is raised.
+    The gradient with respect to the network input (layer 0's input
+    gradient) is not computed, since no parameter depends on it.
     """
     if isinstance(net, MlpNetwork):
         return mlp_backward(net, cache, out_grads)
@@ -262,22 +264,24 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
     for l in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[l]
         data = cache.layer_data[l]
+        val = data["values"]
         if layer.scales is not None:  # wavelet
-            val = data["values"]
             coeff_grad = np.einsum("no,noi->oi", grad, val)[:, :, None]
             common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
             scale_grad = np.einsum("noi,noi->oi", common, data["d_scale"])
             shift_grad = np.einsum("noi,noi->oi", common, data["d_shift"])
-            du = np.einsum("noi,noi->ni", common, data["d_x"])
             per_layer.append((l, [coeff_grad, scale_grad, shift_grad]))
+            if l == 0:
+                break
+            du = np.einsum("noi,noi->ni", common, data["d_x"])
         else:
-            val = data["values"]
-            dval = data["d_values"]
             n = val.shape[0]
-            coeff_grad = np.einsum("no,nik->oik", grad, val)
-            p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
-            du = np.sum(p * dval, axis=-1)
+            coeff_grad = (grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)
             per_layer.append((l, [coeff_grad]))
+            if l == 0:
+                break
+            p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
+            du = np.sum(p * data["d_values"], axis=-1)
         if squash:
             u = data["squashed"]
             grad = du * (1.0 - u * u)
@@ -492,6 +496,20 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _finite(value, block: str) -> np.ndarray:
+    """``value`` as a float64 array, or a FormatError naming ``block``.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity`` literals, so every
+    numeric block read from a model file passes through here.
+    """
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FormatError(f"{block} is not a numeric array") from None
+    _require(bool(np.all(np.isfinite(arr))), f"{block} holds non-finite values")
+    return arr
+
+
 def load_model(path) -> ModelBundle:
     """Load a model file, validating container format and version."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -521,8 +539,8 @@ def load_model(path) -> ModelBundle:
         ws = []
         bs = []
         for l, (w, b) in enumerate(zip(weights, biases)):
-            wa = np.asarray(w, dtype=np.float64)
-            ba = np.asarray(b, dtype=np.float64)
+            wa = _finite(w, f"mlp_weights[{l}]")
+            ba = _finite(b, f"mlp_biases[{l}]")
             _require(wa.shape == (dims[l + 1], dims[l]) and ba.shape == (dims[l + 1],),
                      f"mlp layer {l} has wrong shape")
             ws.append(wa)
@@ -543,36 +561,39 @@ def load_model(path) -> ModelBundle:
                      "wavelet scales/shifts do not match layer_dims")
         layers = []
         for l in range(len(dims) - 1):
-            ca = np.asarray(coeffs[l], dtype=np.float64)
+            ca = _finite(coeffs[l], f"coeffs[{l}]")
             _require(ca.shape == (dims[l + 1], dims[l], b),
                      f"coeff block {l} has shape {ca.shape}, expected {(dims[l + 1], dims[l], b)}")
             sa = ta = None
             if wavelet:
-                sa = np.asarray(scales[l], dtype=np.float64)
-                ta = np.asarray(shifts[l], dtype=np.float64)
+                sa = _finite(scales[l], f"wavelet_scales[{l}]")
+                ta = _finite(shifts[l], f"wavelet_shifts[{l}]")
                 _require(sa.shape == (dims[l + 1], dims[l]) and ta.shape == (dims[l + 1], dims[l]),
                          f"wavelet block {l} has wrong shape")
             layers.append(KanLayer(dims[l], dims[l + 1], ca, sa, ta))
         net = KanNetwork(spec=spec, layers=layers)
-    def _std_from(block):
+    def _std_from(name):
+        block = doc.get(name)
         if block is None:
             return None
-        return Standardizer(means=np.asarray(block["means"], dtype=np.float64),
-                            stds=np.asarray(block["stds"], dtype=np.float64),
-                            epsilon=float(block.get("epsilon", 1e-8)))
+        return Standardizer(means=_finite(block["means"], f"{name}.means"),
+                            stds=_finite(block["stds"], f"{name}.stds"),
+                            epsilon=float(_finite(block.get("epsilon", 1e-8),
+                                                  f"{name}.epsilon")))
 
-    std = _std_from(doc.get("standardizer"))
-    scaler = _std_from(doc.get("feature_scaler"))
+    std = _std_from("standardizer")
+    scaler = _std_from("feature_scaler")
     pca = None
     if doc.get("pca") is not None:
         p = doc["pca"]
-        pca = PcaModel(mean=np.asarray(p["mean"], dtype=np.float64),
-                       components=np.asarray(p["components"], dtype=np.float64),
-                       eigenvalues=np.asarray(p["eigenvalues"], dtype=np.float64),
+        pca = PcaModel(mean=_finite(p["mean"], "pca.mean"),
+                       components=_finite(p["components"], "pca.components"),
+                       eigenvalues=_finite(p["eigenvalues"], "pca.eigenvalues"),
                        k=int(p["k"]),
-                       tau=(float(p["tau"]) if p.get("tau") is not None else None))
+                       tau=(float(_finite(p["tau"], "pca.tau"))
+                            if p.get("tau") is not None else None))
     affine = doc.get("target_affine") or {"mean": 0.0, "std": 1.0}
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
-                       target_mean=float(affine.get("mean", 0.0)),
-                       target_std=float(affine.get("std", 1.0)),
+                       target_mean=float(_finite(affine.get("mean", 0.0), "target_affine.mean")),
+                       target_std=float(_finite(affine.get("std", 1.0), "target_affine.std")),
                        meta=doc.get("meta") or {})

@@ -66,6 +66,8 @@ class AdamState:
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
+    # two work arrays per parameter, allocated by the first adam_step
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
@@ -77,19 +79,35 @@ def init_adam(params: list[np.ndarray]) -> AdamState:
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               epsilon: float = 1e-8) -> list[np.ndarray]:
-    """One bias-corrected Adam update, in place on ``params``."""
+    """One bias-corrected Adam update, in place on ``params``.
+
+    The update is ``p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)``,
+    evaluated in that operation order into the state's scratch arrays so
+    that no step allocates.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params, grads, and Adam state are misaligned")
+    if not state.scratch:
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + epsilon)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += epsilon
+        np.divide(m, c1, out=a)
+        a *= lr
+        a /= b
+        p -= a
     return params
 
 
@@ -153,7 +171,9 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     start = time.perf_counter()
     best_val = math.inf
     best_epoch = 0
-    snapshot: list[np.ndarray] | None = None
+    # The first epoch always improves on best_val = inf (a non-finite val
+    # loss raises), so the snapshot is filled before it is restored.
+    snapshot = [np.empty_like(p) for p in params]
     streak = 0
     train_curve: list[float] = []
     val_curve: list[float] = []
@@ -202,15 +222,15 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            snapshot = [p.copy() for p in params]
+            for s, p in zip(snapshot, params):
+                np.copyto(s, p)
             streak = 0
         else:
             streak += 1
             if streak >= config.patience:
                 break
-    if snapshot is not None:
-        for p, s in zip(params, snapshot):
-            p[...] = s
+    for p, s in zip(params, snapshot):
+        np.copyto(p, s)
     return TrainResult(
         epochs_run=epoch,
         best_epoch=best_epoch,

@@ -7,7 +7,7 @@ import pytest
 
 from kanreg.basis import BasisSpec
 from kanreg.cli import REPORT_HEADER, main
-from kanreg.data import Standardizer, make_synthetic, save_table
+from kanreg.data import Standardizer, make_synthetic, save_table, split
 from kanreg.linalg import Rng
 from kanreg.network import ModelBundle, init_network, save_model
 
@@ -208,6 +208,36 @@ class TestCrossCommand:
         cross_fields = _rows(cross_out / "cross.csv")[1][0].split(",")
         assert cross_fields[6] == train_fields[6]   # plcc
         assert cross_fields[7] == train_fields[7]   # srcc
+
+    def test_test_split_defaults_to_training_seed(self, small_csv, tmp_path, capsys):
+        # seeds 7 and 42 (the CLI default) give different test rows
+        assert list(split(60, 7).test) != list(split(60, 42).test)
+        train_out = tmp_path / "train"
+        assert main(_train_args(small_csv, str(train_out), seed="7")) == 0
+        train_fields = _rows(train_out / "report.csv")[1][0].split(",")
+        capsys.readouterr()
+        cross_out = tmp_path / "cross"
+        code = main(["cross", "--data", small_csv, "--model",
+                     str(train_out / "model.json"), "--split", "test",
+                     "--out", str(cross_out)])
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        cross_fields = _rows(cross_out / "cross.csv")[1][0].split(",")
+        assert cross_fields[6:8] == train_fields[6:8]   # plcc, srcc
+        manifest = json.loads((cross_out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 7
+
+    def test_explicit_seed_differing_from_training_seed_warns(self, small_csv,
+                                                              tmp_path, capsys):
+        train_out = tmp_path / "train"
+        assert main(_train_args(small_csv, str(train_out), seed="7")) == 0
+        capsys.readouterr()
+        code = main(["cross", "--data", small_csv, "--model",
+                     str(train_out / "model.json"), "--split", "test",
+                     "--seed", "42", "--out", str(tmp_path / "cross")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: --seed 42 differs from the model's training seed 7" in err
 
     def test_whole_table_evaluation(self, small_csv, tmp_path):
         train_out = tmp_path / "train"

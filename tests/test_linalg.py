@@ -61,6 +61,20 @@ class TestRngStream:
         Rng(7).shuffle(seq)
         assert seq == _SHUFFLE_ORACLE_7
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 350])
+    def test_shuffle_matches_fisher_yates_on_below(self, n):
+        for seed in (0, 7, 42, (1 << 64) - 1):
+            ref_rng = Rng(seed)
+            want = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = ref_rng.below(i + 1)
+                want[i], want[j] = want[j], want[i]
+            rng = Rng(seed)
+            got = list(range(n))
+            rng.shuffle(got)
+            assert got == want
+            assert rng.next_u64() == ref_rng.next_u64()  # same draws consumed
+
     def test_bulk_and_scalar_paths_agree(self):
         a = Rng(13)
         b = Rng(13)

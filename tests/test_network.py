@@ -1,5 +1,7 @@
 """Network composition, auto-configuration, gradients, and model files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,28 @@ class TestModelFiles:
         doc = path.read_text().replace('"layer_dims":[3,1]', '"layer_dims":[4,1]')
         path.write_text(doc)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_non_finite_values_rejected_naming_the_block(self, tmp_path):
+        raw = np.random.default_rng(89).normal(size=(10, 3))
+        net = init_network([3, 1], BasisSpec.taylor(2), Rng(97))
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net, standardizer=fit_standardizer(raw)))
+        clean = path.read_text()
+        load_model(path)
+
+        doc = json.loads(clean)
+        doc["coeffs"][0][0][1][2] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(FormatError, match=r"coeffs\[0\]"):
+            load_model(path)
+
+        doc = json.loads(clean)
+        doc["standardizer"]["means"][0] = float("inf")
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(FormatError, match=r"standardizer\.means"):
             load_model(path)
 
     def test_bundle_round_trip_with_preprocessing(self, tmp_path):

@@ -119,6 +119,27 @@ class TestAdam:
         with pytest.raises(ParameterError):
             adam_step(params, [np.zeros(1), np.zeros(1)], state, lr=0.1)
 
+    def test_matches_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        shapes = [(3,), (2, 4), (2, 3, 2), (1, 1)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        state = init_adam(params)
+        for t in range(1, 11):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            adam_step(params, grads, state, lr, beta1, beta2, eps)
+            c1 = 1.0 - beta1 ** t
+            c2 = 1.0 - beta2 ** t
+            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
+                m[...] = beta1 * m + (1.0 - beta1) * g
+                v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for got, want in zip(params, ref):
+                np.testing.assert_array_equal(got, want)
+
 
 class TestTrain:
     def test_zero_lr_leaves_parameters(self, latent_4d):
