@@ -204,8 +204,8 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     keys = _COMMAND_KEYS[command]
     resolved = {k: _DEFAULTS[k] for k in keys}
-    if command == "cross":
-        resolved["seed"] = None  # cmd_cross falls back to the model's training seed
+    if command in ("cross", "compare"):
+        resolved["seed"] = None  # filled in from the models by _seed_from_models
     if getattr(args, "config", None):
         resolved.update(_read_config_file(args.config, keys, command))
     for key in keys:
@@ -415,22 +415,43 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _seed_from_models(cfg: dict, command: str, bundles: dict) -> None:
+    """Settle ``cfg["seed"]`` for commands that score saved models.
+
+    Without ``--seed`` the models' training seed (``meta["seed"]``) is used,
+    so ``--split test`` scores the models' own held-out rows. Under
+    ``--split test``, models trained with different seeds have no common
+    test split and raise, and an explicit seed that differs from a training
+    seed gets a warning.
+    """
+    seeds = {}
+    for flag, bundle in bundles.items():
+        seed = bundle.meta.get("seed")
+        if seed is not None:
+            try:
+                seeds[flag] = _parse_u64(str(seed))
+            except ValueError:
+                raise FormatError(f"{flag} meta seed is not an integer: {seed!r}") from None
+    distinct = sorted(set(seeds.values()))
+    if cfg["seed"] is None:
+        if len(distinct) > 1 and cfg["split"] == "test":
+            named = " and ".join(f"{flag} with seed {seed}" for flag, seed in seeds.items())
+            raise ParameterError(f"{command}: the models were trained {named}; "
+                                 f"pass --seed to choose the test split")
+        cfg["seed"] = distinct[0] if len(distinct) == 1 else _DEFAULTS["seed"]
+    elif cfg["split"] == "test":
+        for seed in distinct:
+            if seed != cfg["seed"]:
+                print(f"{command}: warning: --seed {cfg['seed']} differs from the model's "
+                      f"training seed {seed}; the test split will not be the model's "
+                      f"held-out rows", file=sys.stderr)
+
+
 def cmd_cross(cfg: dict) -> int:
     if cfg.get("model") is None:
         raise ParameterError("--model is required for cross")
     bundle = load_model(cfg["model"])
-    model_seed = bundle.meta.get("seed")
-    if model_seed is not None:
-        try:
-            model_seed = _parse_u64(str(model_seed))
-        except ValueError:
-            raise FormatError(f"model meta seed is not an integer: {model_seed!r}") from None
-    if cfg["seed"] is None:
-        cfg["seed"] = _DEFAULTS["seed"] if model_seed is None else model_seed
-    elif cfg["split"] == "test" and model_seed is not None and cfg["seed"] != model_seed:
-        print(f"cross: warning: --seed {cfg['seed']} differs from the model's training "
-              f"seed {model_seed}; the test split will not be the model's held-out rows",
-              file=sys.stderr)
+    _seed_from_models(cfg, "cross", {"model": bundle})
     table = load_table(cfg["data"], cfg["format"])
     out_dir = _ensure_out(cfg)
     report_path = os.path.join(out_dir, "cross.csv")
@@ -588,6 +609,7 @@ def cmd_compare(cfg: dict) -> int:
         raise ParameterError("compare needs --model-a and --model-b")
     bundle_a = load_model(cfg["model_a"])
     bundle_b = load_model(cfg["model_b"])
+    _seed_from_models(cfg, "compare", {"model-a": bundle_a, "model-b": bundle_b})
     table = load_table(cfg["data"], cfg["format"])
     out_dir = _ensure_out(cfg)
     report_path = os.path.join(out_dir, "compare.csv")

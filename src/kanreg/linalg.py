@@ -5,9 +5,17 @@ Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects (row-major,
 helpers here add the shape and symmetry checking the rest of the package
 relies on. The eigensolver is a self-contained cyclic Jacobi sweep rather
 than a LAPACK binding so results are identical on every platform.
+
+Large blocks of random draws are computed in lanes: the xoshiro256** state
+update is linear over GF(2), so the state ``j`` steps ahead is a 256x256 bit
+matrix power applied to the current state. Each lane jumps to its start
+that way and all lanes then step together as NumPy ``uint64`` arrays. The
+result is the same stream, bit for bit, as stepping one draw at a time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -15,6 +23,70 @@ from .errors import ContractError, InsufficientDataError, NumericError, ShapeErr
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _DOUBLE_SCALE = 2.0 ** -53
+
+# Blocks of at least this many draws are computed in lanes (Rng._lane_u64);
+# smaller ones step in plain Python, which is faster there.
+LANE_MIN = 4096
+
+_BIT = np.arange(64, dtype=np.uint64)
+
+
+def _state_bits(words: np.ndarray) -> np.ndarray:
+    """``[4, m]`` uint64 states as ``[256, m]`` float64 bit columns."""
+    return ((words[:, None, :] >> _BIT[None, :, None]) & np.uint64(1)).reshape(
+        256, words.shape[1]).astype(np.float64)
+
+
+def _state_words(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_state_bits`."""
+    return (bits.reshape(4, 64, -1).astype(np.uint64) << _BIT[None, :, None]).sum(
+        axis=1, dtype=np.uint64)
+
+
+def _step_lanes(start: np.ndarray, steps: int, stop: int):
+    """Step the ``[4, K]`` uint64 lane states ``start`` together ``steps`` times.
+
+    Returns ``(s1, snapshot)``: ``s1[t]`` is every lane's ``s1`` word before
+    step ``t`` (``steps + 1`` rows), and ``snapshot`` is the ``[4, K]`` state
+    of every lane after ``stop`` steps.
+    """
+    s0, s2, s3 = (start[i].copy() for i in (0, 2, 3))
+    s1 = np.empty((steps + 1, start.shape[1]), dtype=np.uint64)
+    s1[0] = start[1]
+    t = np.empty_like(s0)
+    snapshot = None
+    for i in range(steps):
+        cur = s1[i]
+        np.left_shift(cur, 17, out=t)
+        s2 ^= s0
+        s3 ^= cur
+        np.bitwise_xor(cur, s2, out=s1[i + 1])
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, 45, out=t)
+        s3 >>= 19
+        s3 |= t
+        if i + 1 == stop:
+            snapshot = np.stack([s0, s1[i + 1], s2, s3])
+    return s1, snapshot
+
+
+@functools.cache
+def _step_power(j: int) -> np.ndarray:
+    """T^(2^j), T the xoshiro256** step matrix over GF(2), as uint8 0/1.
+
+    Column i is the image of state bit i (bit b of word w is 64w + b). Each
+    power is built once per process, by squaring the one before as a
+    float64 matmul mod 2 (exact: the sums stay at or below 256), and kept
+    as uint8 so the cache stays small.
+    """
+    if j == 0:
+        unit = np.zeros((4, 256), dtype=np.uint64)
+        bit = np.arange(256)
+        unit[bit // 64, bit] = np.uint64(1) << _BIT[bit % 64]
+        return _state_bits(_step_lanes(unit, 1, 1)[1]).astype(np.uint8)
+    half = _step_power(j - 1).astype(np.float64)
+    return ((half @ half) % 2.0).astype(np.uint8)
 
 
 class Rng:
@@ -37,6 +109,10 @@ class Rng:
         t   = s1 << 17
         s2 ^= s0;  s3 ^= s1;  s1 ^= s2;  s0 ^= s3;  s2 ^= t
         s3  = rotl64(s3, 45)
+
+    Blocks of at least ``LANE_MIN`` draws are computed in lanes (see the
+    module docstring); the stream and the state after the block are the
+    same as from single steps.
 
     Derived draws, in consumption order:
 
@@ -97,13 +173,37 @@ class Rng:
         self._s = [s0, s1, s2, s3]
         return out
 
+    def _lane_u64(self, n: int) -> np.ndarray:
+        # K lanes of L = 2^k steps, L near sqrt(n); lane j starts at
+        # T^(jL) s. The lane starts double each round: P = T^(L 2^i) maps
+        # the first m starts onto the next m.
+        k = (n.bit_length() + 1) // 2
+        steps = 1 << k
+        lanes = -(-n // steps)
+        starts = _state_bits(np.array(self._s, dtype=np.uint64)[:, None])
+        i = 0
+        while starts.shape[1] < lanes:
+            jump = _step_power(k + i).astype(np.float64)
+            ahead = jump @ starts[:, :lanes - starts.shape[1]]
+            starts = np.hstack([starts, ahead % 2.0])
+            i += 1
+        s1, snapshot = _step_lanes(_state_words(starts), steps, n - (lanes - 1) * steps)
+        self._s = [int(w) for w in snapshot[:, -1]]
+        r = s1[:steps] * np.uint64(5)
+        r = (r << np.uint64(7)) | (r >> np.uint64(57))
+        r *= np.uint64(9)
+        return r.T.ravel()[:n]
+
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
     def uniforms(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        raw = np.array(self._bulk_u64(n), dtype=np.uint64)
+        if n >= LANE_MIN:
+            raw = self._lane_u64(n)
+        else:
+            raw = np.array(self._bulk_u64(n), dtype=np.uint64)
         return (raw >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
 
     def normals(self, n: int) -> np.ndarray:

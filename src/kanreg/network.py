@@ -14,6 +14,7 @@ versioned JSON model files.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
@@ -29,7 +30,8 @@ from .data import Standardizer, apply_standardizer, atomic_write_text
 from .pca import PcaModel, transform as pca_transform
 
 MODEL_FORMAT = "kanreg-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -402,48 +404,18 @@ def predict(model, features) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model files: versioned JSON with floats printed at 17 significant digits
-# so values round-trip bit for bit and reruns are byte-identical.
+# Model files: versioned JSON. Version 2 stores each float array as a block
+# {"dtype": "<f8", "shape": [...], "data": base64 of the little-endian C-order
+# bytes}, so values round-trip bit for bit and reruns are byte-identical;
+# scalars stay JSON numbers (Python's float repr round-trips exactly).
+# Version 1 files, which hold nested lists instead, still load.
 
-def _json_dump(obj) -> str:
-    parts: list[str] = []
-    _json_write(obj, parts)
-    return "".join(parts)
-
-
-def _json_write(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericError("cannot serialize a non-finite number")
-        parts.append(f"{obj:.17g}")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _json_write(item, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _json_write(v, parts)
-        parts.append("}")
-    else:
-        raise ParameterError(f"cannot serialize {type(obj).__name__} to JSON")
+def _block(arr, name: str) -> dict:
+    a = np.ascontiguousarray(arr, dtype="<f8")
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"cannot serialize non-finite values in {name}")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "data": base64.b64encode(a.data).decode("ascii")}
 
 
 def save_model(path, model: ModelBundle) -> None:
@@ -455,40 +427,50 @@ def save_model(path, model: ModelBundle) -> None:
     if isinstance(net, MlpNetwork):
         doc["family"] = "mlp"
         doc["layer_dims"] = net.dims
-        doc["mlp_weights"] = [w.tolist() for w in net.weights]
-        doc["mlp_biases"] = [b.tolist() for b in net.biases]
+        doc["mlp_weights"] = [_block(w, f"mlp_weights[{l}]") for l, w in enumerate(net.weights)]
+        doc["mlp_biases"] = [_block(b, f"mlp_biases[{l}]") for l, b in enumerate(net.biases)]
     elif isinstance(net, KanNetwork):
         doc["family"] = net.spec.family
         doc["basis"] = net.spec.to_dict()
         doc["layer_dims"] = net.dims
-        doc["coeffs"] = [layer.coeffs.tolist() for layer in net.layers]
+        doc["coeffs"] = [_block(layer.coeffs, f"coeffs[{l}]")
+                         for l, layer in enumerate(net.layers)]
         if net.spec.family == "wavelet_mexican_hat":
-            doc["wavelet_scales"] = [layer.scales.tolist() for layer in net.layers]
-            doc["wavelet_shifts"] = [layer.shifts.tolist() for layer in net.layers]
+            doc["wavelet_scales"] = [_block(layer.scales, f"wavelet_scales[{l}]")
+                                     for l, layer in enumerate(net.layers)]
+            doc["wavelet_shifts"] = [_block(layer.shifts, f"wavelet_shifts[{l}]")
+                                     for l, layer in enumerate(net.layers)]
     else:
         raise ParameterError(f"unsupported network type {type(net).__name__}")
     doc["target_affine"] = {"mean": float(model.target_mean), "std": float(model.target_std)}
 
-    def _std_block(std):
+    def _std_block(std, name):
         if std is None:
             return None
-        return {"means": std.means.tolist(), "stds": std.stds.tolist(),
+        return {"means": _block(std.means, f"{name}.means"),
+                "stds": _block(std.stds, f"{name}.stds"),
                 "epsilon": float(std.epsilon)}
 
-    doc["standardizer"] = _std_block(model.standardizer)
-    doc["feature_scaler"] = _std_block(model.feature_scaler)
+    doc["standardizer"] = _std_block(model.standardizer, "standardizer")
+    doc["feature_scaler"] = _std_block(model.feature_scaler, "feature_scaler")
     if model.pca is not None:
         doc["pca"] = {
-            "mean": model.pca.mean.tolist(),
-            "components": model.pca.components.tolist(),
-            "eigenvalues": model.pca.eigenvalues.tolist(),
+            "mean": _block(model.pca.mean, "pca.mean"),
+            "components": _block(model.pca.components, "pca.components"),
+            "eigenvalues": _block(model.pca.eigenvalues, "pca.eigenvalues"),
             "k": int(model.pca.k),
             "tau": float(model.pca.tau) if model.pca.tau is not None else None,
         }
     else:
         doc["pca"] = None
     doc["meta"] = model.meta or {}
-    atomic_write_text(path, _json_dump(doc) + "\n")
+    try:
+        text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
+    except ValueError as e:
+        raise NumericError(f"cannot serialize a non-finite number: {e}") from None
+    except TypeError as e:
+        raise ParameterError(f"cannot serialize the model to JSON: {e}") from None
+    atomic_write_text(path, text + "\n")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -497,21 +479,52 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(value, block: str) -> np.ndarray:
-    """``value`` as a float64 array, or a FormatError naming ``block``.
+    """A v1 nested list (or number) or a v2 block as a float64 array.
 
-    ``json.loads`` accepts ``NaN`` and ``Infinity`` literals, so every
-    numeric block read from a model file passes through here.
+    Anything else, a block whose byte count does not match its shape, or
+    non-finite values (``json.loads`` accepts ``NaN`` and ``Infinity``
+    literals) raise a FormatError naming ``block``.
     """
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise FormatError(f"{block} is not a numeric array") from None
+    _require(value is not None, f"{block} is missing")
+    if isinstance(value, dict):
+        _require(value.get("dtype") == "<f8",
+                 f"{block} has dtype {value.get('dtype')!r}, expected '<f8'")
+        shape = value.get("shape")
+        _require(isinstance(shape, list)
+                 and all(type(d) is int and d >= 0 for d in shape),
+                 f"{block} has an invalid shape {shape!r}")
+        try:
+            raw = base64.b64decode(value.get("data"), validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise FormatError(f"{block} data is not base64") from None
+        size = math.prod(shape)
+        _require(len(raw) == 8 * size,
+                 f"{block} holds {len(raw)} bytes, shape {shape} needs {8 * size}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    else:
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise FormatError(f"{block} is not a numeric array") from None
     _require(bool(np.all(np.isfinite(arr))), f"{block} holds non-finite values")
     return arr
 
 
+def _count(value, field_name: str) -> int:
+    _require(type(value) is int, f"{field_name} must be an integer, got {value!r}")
+    return value
+
+
+def _object(doc: dict, key: str, default=None):
+    value = doc.get(key)
+    if value is None:
+        return default
+    _require(isinstance(value, dict), f"{key} must be a JSON object")
+    return value
+
+
 def load_model(path) -> ModelBundle:
-    """Load a model file, validating container format and version."""
+    """Load a model file (version 1 or 2), validating every field."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -523,12 +536,13 @@ def load_model(path) -> ModelBundle:
     _require(doc.get("format") == MODEL_FORMAT,
              f"not a {MODEL_FORMAT} file (format={doc.get('format')!r})")
     version = doc.get("version")
-    if version != MODEL_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise UnsupportedVersionError(
-            f"model file version {version!r} is not supported (expected {MODEL_VERSION})")
+            f"model file version {version!r} is not supported "
+            f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})")
     dims = doc.get("layer_dims")
     _require(isinstance(dims, list) and len(dims) >= 2, "layer_dims missing or too short")
-    dims = [int(d) for d in dims]
+    dims = [_count(d, f"layer_dims[{l}]") for l, d in enumerate(dims)]
     family = doc.get("family")
     if family == "mlp":
         weights = doc.get("mlp_weights")
@@ -547,7 +561,10 @@ def load_model(path) -> ModelBundle:
             bs.append(ba)
         net: object = MlpNetwork(weights=ws, biases=bs)
     else:
-        spec = BasisSpec.from_dict(doc.get("basis") or {"family": family})
+        try:
+            spec = BasisSpec.from_dict(_object(doc, "basis", {"family": family}))
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"basis is invalid: {e!r}") from None
         coeffs = doc.get("coeffs")
         _require(isinstance(coeffs, list) and len(coeffs) == len(dims) - 1,
                  "coeffs do not match layer_dims")
@@ -572,28 +589,29 @@ def load_model(path) -> ModelBundle:
                          f"wavelet block {l} has wrong shape")
             layers.append(KanLayer(dims[l], dims[l + 1], ca, sa, ta))
         net = KanNetwork(spec=spec, layers=layers)
+
     def _std_from(name):
-        block = doc.get(name)
+        block = _object(doc, name)
         if block is None:
             return None
-        return Standardizer(means=_finite(block["means"], f"{name}.means"),
-                            stds=_finite(block["stds"], f"{name}.stds"),
+        return Standardizer(means=_finite(block.get("means"), f"{name}.means"),
+                            stds=_finite(block.get("stds"), f"{name}.stds"),
                             epsilon=float(_finite(block.get("epsilon", 1e-8),
                                                   f"{name}.epsilon")))
 
     std = _std_from("standardizer")
     scaler = _std_from("feature_scaler")
     pca = None
-    if doc.get("pca") is not None:
-        p = doc["pca"]
-        pca = PcaModel(mean=_finite(p["mean"], "pca.mean"),
-                       components=_finite(p["components"], "pca.components"),
-                       eigenvalues=_finite(p["eigenvalues"], "pca.eigenvalues"),
-                       k=int(p["k"]),
+    p = _object(doc, "pca")
+    if p is not None:
+        pca = PcaModel(mean=_finite(p.get("mean"), "pca.mean"),
+                       components=_finite(p.get("components"), "pca.components"),
+                       eigenvalues=_finite(p.get("eigenvalues"), "pca.eigenvalues"),
+                       k=_count(p.get("k"), "pca.k"),
                        tau=(float(_finite(p["tau"], "pca.tau"))
                             if p.get("tau") is not None else None))
-    affine = doc.get("target_affine") or {"mean": 0.0, "std": 1.0}
+    affine = _object(doc, "target_affine", {})
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
                        target_mean=float(_finite(affine.get("mean", 0.0), "target_affine.mean")),
                        target_std=float(_finite(affine.get("std", 1.0), "target_affine.std")),
-                       meta=doc.get("meta") or {})
+                       meta=_object(doc, "meta", {}))

@@ -239,6 +239,18 @@ class TestCrossCommand:
         err = capsys.readouterr().err
         assert "warning: --seed 42 differs from the model's training seed 7" in err
 
+    def test_malformed_model_file_exits_with_named_error(self, small_csv, tmp_path,
+                                                         capsys):
+        model = tmp_path / "m.json"
+        save_model(model, _linear_probe_bundle(6, 1.0, 0.0))
+        doc = json.loads(model.read_text())
+        doc["layer_dims"] = ["x", 1]
+        model.write_text(json.dumps(doc))
+        code = main(["cross", "--data", small_csv, "--model", str(model),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "layer_dims[0] must be an integer" in capsys.readouterr().err
+
     def test_whole_table_evaluation(self, small_csv, tmp_path):
         train_out = tmp_path / "train"
         main(_train_args(small_csv, str(train_out)))
@@ -394,6 +406,40 @@ class TestCompareCommand:
         assert fields[0] == "probe1"
         assert fields[1] == "probe2"
         assert fields[8] == "true"
+
+    def test_test_split_defaults_to_training_seed(self, small_csv, tmp_path, capsys):
+        # seeds 7 and 42 (the CLI default) give different test rows
+        assert list(split(60, 7).test) != list(split(60, 42).test)
+        reports = []
+        for name, lr in (("a", "1e-3"), ("b", "1e-2")):
+            assert main(_train_args(small_csv, str(tmp_path / name), seed="7", lr=lr)) == 0
+            reports.append(_rows(tmp_path / name / "report.csv")[1][0].split(","))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main(["compare", "--data", small_csv, "--split", "test",
+                     "--model-a", str(tmp_path / "a" / "model.json"),
+                     "--model-b", str(tmp_path / "b" / "model.json"), "--out", str(out)])
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        fields = _rows(out / "compare.csv")[1][0].split(",")
+        assert fields[2:4] == reports[0][6:8]   # plcc, srcc of model a
+        assert fields[4:6] == reports[1][6:8]   # plcc, srcc of model b
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 7
+
+    def test_models_with_different_seeds_need_an_explicit_seed(self, small_csv, tmp_path,
+                                                                capsys):
+        for name, seed in (("a", "7"), ("b", "9")):
+            assert main(_train_args(small_csv, str(tmp_path / name), seed=seed)) == 0
+        capsys.readouterr()
+        argv = ["compare", "--data", small_csv, "--split", "test",
+                "--model-a", str(tmp_path / "a" / "model.json"),
+                "--model-b", str(tmp_path / "b" / "model.json"), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert "model-a with seed 7 and model-b with seed 9" in capsys.readouterr().err
+        assert main(argv + ["--seed", "7"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: --seed 7 differs from the model's training seed 9" in err
 
     def test_both_models_required(self, small_csv, tmp_path, capsys):
         code = main(["compare", "--data", small_csv, "--model-a", "x.json",

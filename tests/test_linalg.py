@@ -13,7 +13,7 @@ from kanreg.errors import (
     NumericError,
     ShapeError,
 )
-from kanreg.linalg import Rng, as_matrix, column_stats, covariance, matmul, sym_eig
+from kanreg.linalg import LANE_MIN, Rng, as_matrix, column_stats, covariance, matmul, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +75,16 @@ class TestRngStream:
             assert got == want
             assert rng.next_u64() == ref_rng.next_u64()  # same draws consumed
 
-    def test_bulk_and_scalar_paths_agree(self):
+    @pytest.mark.parametrize("n", [17, LANE_MIN - 1, LANE_MIN, LANE_MIN + 1,
+                                   3 * LANE_MIN + 5, 200_003])
+    def test_bulk_and_scalar_paths_agree(self, n):
+        # below LANE_MIN the block steps in Python, from it on in lanes
         a = Rng(13)
         b = Rng(13)
-        bulk = a.uniforms(17)
-        single = np.array([b.uniform() for _ in range(17)])
+        bulk = a.uniforms(n)
+        single = np.array([b.uniform() for _ in range(n)])
         np.testing.assert_array_equal(bulk, single)
+        assert a.next_u64() == b.next_u64()
 
     def test_same_seed_bit_identical(self):
         np.testing.assert_array_equal(Rng(99).uniforms(1000), Rng(99).uniforms(1000))

@@ -1,5 +1,6 @@
 """Network composition, auto-configuration, gradients, and model files."""
 
+import base64
 import json
 
 import numpy as np
@@ -356,6 +357,33 @@ class TestMlp:
         np.testing.assert_array_equal(d_out, m_out)
 
 
+def _v1_doc(bundle):
+    """A version-1 model document: every float array as nested JSON lists."""
+    net = bundle.net
+    doc = {"format": "kanreg-model", "version": 1}
+    if isinstance(net, KanNetwork):
+        doc.update(family=net.spec.family, basis=net.spec.to_dict(), layer_dims=net.dims,
+                   coeffs=[layer.coeffs.tolist() for layer in net.layers])
+        if net.spec.family == "wavelet_mexican_hat":
+            doc["wavelet_scales"] = [layer.scales.tolist() for layer in net.layers]
+            doc["wavelet_shifts"] = [layer.shifts.tolist() for layer in net.layers]
+    else:
+        doc.update(family="mlp", layer_dims=net.dims,
+                   mlp_weights=[w.tolist() for w in net.weights],
+                   mlp_biases=[b.tolist() for b in net.biases])
+    doc["target_affine"] = {"mean": bundle.target_mean, "std": bundle.target_std}
+    for name in ("standardizer", "feature_scaler"):
+        std = getattr(bundle, name)
+        doc[name] = None if std is None else {
+            "means": std.means.tolist(), "stds": std.stds.tolist(), "epsilon": std.epsilon}
+    pca = bundle.pca
+    doc["pca"] = None if pca is None else {
+        "mean": pca.mean.tolist(), "components": pca.components.tolist(),
+        "eigenvalues": pca.eigenvalues.tolist(), "k": pca.k, "tau": pca.tau}
+    doc["meta"] = bundle.meta
+    return doc
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("family", sorted(ALL_SPECS))
     def test_round_trip_bit_identical(self, family, tmp_path):
@@ -405,8 +433,9 @@ class TestModelFiles:
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(61))
         path = tmp_path / "model.json"
         save_model(path, ModelBundle(net=net))
-        doc = path.read_text().replace('"version":1', '"version":9')
-        path.write_text(doc)
+        blob = path.read_text()
+        assert '"version":2' in blob
+        path.write_text(blob.replace('"version":2', '"version":9'))
         with pytest.raises(UnsupportedVersionError):
             load_model(path)
 
@@ -422,23 +451,84 @@ class TestModelFiles:
     def test_non_finite_values_rejected_naming_the_block(self, tmp_path):
         raw = np.random.default_rng(89).normal(size=(10, 3))
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(97))
+        bundle = ModelBundle(net=net, standardizer=fit_standardizer(raw))
         path = tmp_path / "model.json"
-        save_model(path, ModelBundle(net=net, standardizer=fit_standardizer(raw)))
-        clean = path.read_text()
-        load_model(path)
 
-        doc = json.loads(clean)
+        def rejected(doc, match):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(FormatError, match=match):
+                load_model(path)
+
+        # version 1: NaN/Infinity literals inside nested lists
+        doc = _v1_doc(bundle)
         doc["coeffs"][0][0][1][2] = float("nan")
-        path.write_text(json.dumps(doc))
+        rejected(doc, r"coeffs\[0\] holds non-finite")
         assert "NaN" in path.read_text()
-        with pytest.raises(FormatError, match=r"coeffs\[0\]"):
-            load_model(path)
-
-        doc = json.loads(clean)
+        doc = _v1_doc(bundle)
         doc["standardizer"]["means"][0] = float("inf")
-        path.write_text(json.dumps(doc))
+        rejected(doc, r"standardizer\.means holds non-finite")
         assert "Infinity" in path.read_text()
-        with pytest.raises(FormatError, match=r"standardizer\.means"):
+
+        # version 2: NaN inside a base64 block, and a byte count off its shape
+        save_model(path, bundle)
+        clean = json.loads(path.read_text())
+        load_model(path)
+        doc = json.loads(json.dumps(clean))
+        coeffs = net.layers[0].coeffs.copy()
+        coeffs[0, 1, 2] = np.nan
+        doc["coeffs"][0]["data"] = base64.b64encode(coeffs.astype("<f8").tobytes()).decode()
+        rejected(doc, r"coeffs\[0\] holds non-finite")
+        doc = json.loads(json.dumps(clean))
+        doc["standardizer"]["stds"]["shape"] = [4]
+        rejected(doc, r"standardizer\.stds holds 24 bytes, shape \[4\] needs 32")
+
+    @pytest.mark.parametrize("family", ["chebyshev", "wavelet_mexican_hat", "mlp"])
+    def test_version_1_files_load_bit_for_bit(self, family, tmp_path):
+        if family == "mlp":
+            bundle = ModelBundle(net=init_mlp([5, 4, 1], Rng(101)))
+        else:
+            net = init_network([5, 4, 1], ALL_SPECS[family], Rng(101))
+            for layer in net.layers:
+                if layer.scales is not None:
+                    layer.scales *= 1.0 + np.random.default_rng(103).random(layer.scales.shape)
+                    layer.shifts += np.random.default_rng(107).normal(size=layer.shifts.shape)
+            raw = np.random.default_rng(109).normal(size=(30, 5)) * 3.0 + 1.0 / 3.0
+            std = fit_standardizer(raw)
+            pca = pca_fit(apply_standardizer(std, raw), 0.9)
+            bundle = ModelBundle(net=net, standardizer=std, pca=pca,
+                                 feature_scaler=fit_standardizer(raw[:, :2]),
+                                 target_mean=0.1, target_std=2.0 / 3.0)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(_v1_doc(bundle)))
+        loaded = load_model(path)
+        want, _ = params_of(bundle.net)
+        got, _ = params_of(loaded.net)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, w)
+        if family != "mlp":
+            for a, b in [(loaded.standardizer.means, bundle.standardizer.means),
+                         (loaded.standardizer.stds, bundle.standardizer.stds),
+                         (loaded.feature_scaler.stds, bundle.feature_scaler.stds),
+                         (loaded.pca.mean, bundle.pca.mean),
+                         (loaded.pca.components, bundle.pca.components),
+                         (loaded.pca.eigenvalues, bundle.pca.eigenvalues)]:
+                np.testing.assert_array_equal(a, b)
+            assert loaded.pca.k == bundle.pca.k
+            assert (loaded.target_mean, loaded.target_std) == (0.1, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer_dims", ["x", 1]), ("layer_dims", [3.0, 1]), ("standardizer", {"stds": [1.0]}),
+        ("pca", {"mean": [0.0]}), ("meta", [1]), ("basis", {"family": "taylor"})])
+    def test_malformed_fields_are_named_format_errors(self, field, value, tmp_path):
+        net = init_network([3, 1], BasisSpec.taylor(2), Rng(113))
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=field):
             load_model(path)
 
     def test_bundle_round_trip_with_preprocessing(self, tmp_path):
