@@ -3,8 +3,11 @@
 Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects (row-major,
 ``float64``), which realizes the package's matrix contract directly; the
 helpers here add the shape and symmetry checking the rest of the package
-relies on. The eigensolver is a self-contained cyclic Jacobi sweep rather
-than a LAPACK binding so results are identical on every platform.
+relies on. The eigensolver is LAPACK's symmetric solver through
+``numpy.linalg.eigh``, and the covariance and Gram products that feed it are
+BLAS matmuls. A rerun on the same machine (same NumPy, BLAS/LAPACK build and
+thread count) gives identical results; other machines agree to rounding,
+not bit for bit.
 
 Large blocks of random draws are computed in lanes: the xoshiro256** state
 update is linear over GF(2), so the state ``j`` steps ahead is a 256x256 bit
@@ -241,16 +244,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            f"inner dimensions {a.shape[1]} and {b.shape[0]} differ")
-    return a @ b
-
-
 def column_stats(m) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population standard deviation (divisor n)."""
     m = as_matrix(m)
@@ -280,76 +273,28 @@ def _check_symmetric(m: np.ndarray) -> None:
 
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via ``eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
     descending and eigenvectors as the ROWS of the returned matrix, so that
     ``eigenvectors.T @ diag(eigenvalues) @ eigenvectors`` reconstructs ``m``.
     Eigenvalues in [-1e-9, 0) are clamped to 0 so nominally PSD inputs stay
-    PSD under roundoff.
+    PSD under roundoff. Non-finite input, and eigenvalues that overflow
+    float64, raise ``NumericError``.
     """
-    a = as_matrix(m, "sym_eig input").copy()
+    a = as_matrix(m, "sym_eig input")
     n, cols = a.shape
     if n != cols:
         raise ShapeError(f"sym_eig needs a square matrix, got {n}x{cols}")
+    if not np.isfinite(a).all():
+        raise NumericError("sym_eig input has non-finite entries (NaN or Inf)")
     _check_symmetric(a)
-    if n == 0:
-        return np.empty(0), np.empty((0, 0))
-    if n == 1:
-        return a[0].copy(), np.ones((1, 1))
-
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), v
-    # Rotations with |a_pq| below this cannot move the result at float64
-    # resolution; skipping them makes late sweeps nearly free.
-    skip = 1e-18 * norm
-    tol = 1e-13 * norm
-    converged = False
-    for _ in range(60):
-        off = float(np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2))))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = False
-    if not converged:
-        off = float(np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2))))
-        if off > 1e-7 * norm:
-            raise NumericError(f"Jacobi eigensolver did not converge (off-diagonal {off:.3e})")
-
-    w = np.diag(a).copy()
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise NumericError("sym_eig overflowed: an eigenvalue exceeds the float64 range")
     w[(w >= -1e-9) & (w < 0.0)] = 0.0
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order].T.copy()

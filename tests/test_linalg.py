@@ -13,7 +13,7 @@ from kanreg.errors import (
     NumericError,
     ShapeError,
 )
-from kanreg.linalg import LANE_MIN, Rng, as_matrix, column_stats, covariance, matmul, sym_eig
+from kanreg.linalg import LANE_MIN, Rng, as_matrix, column_stats, covariance, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +132,7 @@ class TestRngStream:
 # Matrix helpers
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_multiplication(self):
-        got = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        np.testing.assert_array_equal(got, [[2.0], [4.0]])
-
-    def test_zero_matrix(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(matmul(a, np.zeros((3, 2))), np.zeros((2, 2)))
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
+class TestAsMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             as_matrix([1.0, 2.0, 3.0])
@@ -269,3 +253,44 @@ class TestSymEig:
         m = (g + g.T) / 2.0
         w, v = sym_eig(m)
         np.testing.assert_allclose(v.T @ np.diag(w) @ v, m, atol=1e-7)
+
+
+class TestSymEigNonFinite:
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_rejected(self, entry):
+        m = np.eye(3)
+        m[entry] = m[entry[::-1]] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            sym_eig(m)
+
+    def test_inf_rejected(self):
+        with pytest.raises(NumericError, match="non-finite"):
+            sym_eig([[np.inf, 1.0], [1.0, 1.0]])
+
+    def test_overflowing_eigenvalue_rejected(self):
+        # finite entries whose largest eigenvalue (2e308) overflows float64
+        with pytest.raises(NumericError, match="overflow"):
+            sym_eig([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            sym_eig(np.eye(2))
+
+
+class TestSymEigLarge:
+    def test_512_with_repeated_and_zero_eigenvalues(self):
+        rng = np.random.default_rng(31)
+        q, _ = np.linalg.qr(rng.normal(size=(512, 512)))
+        spectrum = np.concatenate([rng.uniform(0.1, 10.0, size=442),
+                                   np.full(20, 3.0), np.zeros(50)])
+        m = (q * spectrum) @ q.T
+        m = (m + m.T) / 2.0
+        w, v = sym_eig(m)
+        np.testing.assert_allclose(v @ v.T, np.eye(512), atol=1e-10)
+        np.testing.assert_allclose(v.T @ np.diag(w) @ v, m, atol=1e-10)
+        np.testing.assert_allclose(w, np.sort(spectrum)[::-1], atol=1e-10)
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.all(w >= 0.0)
