@@ -21,9 +21,9 @@ from .linalg import Rng, sym_eig
 from .metrics import (EvalReport, SignificanceResult, evaluate,
                       paired_t_test, plcc, rank_average, srcc)
 from .network import (KanLayer, KanNetwork, MlpNetwork, ModelBundle,
-                      auto_configure, backward, estimate_forward_cost,
-                      forward, init_mlp, init_network, load_model, mlp_dims,
-                      predict, save_model, six_layer_dims)
+                      auto_configure, backward, forward, init_mlp,
+                      init_network, load_model, mlp_dims, predict, save_model,
+                      six_layer_dims)
 from .pca import PcaModel
 from .pca import fit as fit_pca
 from .pca import select_k
@@ -44,7 +44,7 @@ __all__ = [
     "SignificanceResult", "SplitIndices", "Standardizer", "TrainConfig",
     "TrainResult", "UndefinedCorrelationError", "UnsupportedVersionError",
     "adam_step", "apply_standardizer", "auto_configure", "backward",
-    "basis_size", "estimate_forward_cost", "evaluate", "evaluate_basis",
+    "basis_size", "evaluate", "evaluate_basis",
     "fit_pca", "fit_standardizer", "forward", "grid_search", "init_adam",
     "init_mlp", "init_network", "load_model", "load_table", "make_synthetic",
     "measure_time", "mlp_dims", "mos_histogram", "paired_t_test",

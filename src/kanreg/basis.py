@@ -157,46 +157,45 @@ class BasisSpec:
         return self.family in SQUASHED_FAMILIES
 
     def to_dict(self) -> dict:
-        f = self.family
-        if f == "taylor":
-            return {"family": f, "order": self.order, "center": self.center}
-        if f in ("chebyshev", "hermite"):
-            return {"family": f, "n_max": self.n_max}
-        if f == "jacobi":
-            return {"family": f, "n_max": self.n_max, "alpha": self.alpha, "beta": self.beta}
-        if f == "gaussian_rbf":
-            return {"family": f, "centers": list(self.centers), "bandwidth": self.bandwidth}
-        if f == "bspline":
-            return {"family": f, "grid_size": self.grid_size, "degree": self.degree}
-        if f == "bsrbf":
-            return {"family": f, "spline": self.spline_part.to_dict(),
-                    "rbf": self.rbf_part.to_dict()}
-        if f == "fourier":
-            return {"family": f, "n_harmonics": self.n_harmonics}
-        return {"family": f}
+        d = {"family": self.family}
+        for attr, _, _ in FAMILY_FIELDS[self.family]:
+            value = getattr(self, attr)
+            if isinstance(value, BasisSpec):
+                value = value.to_dict()
+            d[attr.removesuffix("_part")] = list(value) if isinstance(value, tuple) else value
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
         f = d.get("family")
-        if f == "taylor":
-            return cls.taylor(order=int(d["order"]), center=float(d.get("center", 0.0)))
-        if f == "chebyshev":
-            return cls.chebyshev(n_max=int(d["n_max"]))
-        if f == "jacobi":
-            return cls.jacobi(n_max=int(d["n_max"]), alpha=float(d["alpha"]), beta=float(d["beta"]))
-        if f == "hermite":
-            return cls.hermite(n_max=int(d["n_max"]))
-        if f == "gaussian_rbf":
-            return cls.gaussian_rbf(centers=d["centers"], bandwidth=float(d["bandwidth"]))
-        if f == "bspline":
-            return cls.bspline(grid_size=int(d["grid_size"]), degree=int(d["degree"]))
-        if f == "bsrbf":
-            return cls.bsrbf(spline=cls.from_dict(d["spline"]), rbf=cls.from_dict(d["rbf"]))
-        if f == "fourier":
-            return cls.fourier(n_harmonics=int(d["n_harmonics"]))
-        if f == "wavelet_mexican_hat":
-            return cls.wavelet()
-        raise ParameterError(f"unknown basis family in serialized spec: {f!r}")
+        if f not in FAMILY_FIELDS:
+            raise ParameterError(f"unknown basis family in serialized spec: {f!r}")
+        fields = {}
+        for attr, read, _ in FAMILY_FIELDS[f]:
+            if attr != "center" or attr in d:  # a file without a center expands at 0
+                fields[attr] = read(d[attr.removesuffix("_part")])
+        return cls(family=f, **fields)
+
+
+# Per family, the spec fields a model file stores, in file order:
+# (attribute, reader, CLI key). The file key is the attribute without its
+# "_part" suffix. The CLI key names the flag that sets the field (None: the
+# default always holds); for bsrbf's spline part it names the family whose
+# flags build the nested spec.
+FAMILY_FIELDS = {
+    "taylor": (("order", int, "order"), ("center", float, None)),
+    "chebyshev": (("n_max", int, "order"),),
+    "jacobi": (("n_max", int, "order"), ("alpha", float, "alpha"),
+               ("beta", float, "beta")),
+    "hermite": (("n_max", int, "order"),),
+    "gaussian_rbf": (("centers", lambda c: tuple(map(float, c)), None),
+                     ("bandwidth", float, None)),
+    "bspline": (("grid_size", int, "grid_size"), ("degree", int, "degree")),
+    "bsrbf": (("spline_part", BasisSpec.from_dict, "bspline"),
+              ("rbf_part", BasisSpec.from_dict, None)),
+    "wavelet_mexican_hat": (),
+    "fourier": (("n_harmonics", int, "harmonics"),),
+}
 
 
 def basis_size(spec: BasisSpec) -> int:

@@ -23,15 +23,14 @@ import time
 
 import numpy as np
 
-from .basis import FAMILIES, BasisSpec, basis_size
+from .basis import FAMILIES, FAMILY_FIELDS, BasisSpec
 from .data import (FeatureTable, apply_standardizer, atomic_write_text,
                    fit_standardizer, load_table, mos_histogram, split)
 from .errors import FormatError, KanregError, ParameterError, ParseError
 from .linalg import Rng
 from .metrics import EvalReport, evaluate, paired_t_test, plcc, srcc
-from .network import (ModelBundle, auto_configure, forward, init_mlp,
-                      init_network, load_model, mlp_dims, save_model,
-                      six_layer_dims)
+from .network import (ModelBundle, auto_configure, init_mlp, init_network,
+                      load_model, mlp_dims, predict, save_model, six_layer_dims)
 from .pca import fit as fit_pca
 from .pca import select_k
 from .pca import transform as pca_transform
@@ -42,35 +41,6 @@ _SEED_MASK = (1 << 64) - 1
 _TAU_CHOICES = (0.90, 0.95, 1.00)
 REPORT_HEADER = "dataset,basis,tau,k,layers,lr,plcc,srcc,seconds,epochs"
 
-_DEFAULTS = {
-    "data": None,
-    "format": None,          # None = infer from the file suffix
-    "seed": 42,
-    "out": "kanreg_out",
-    "timing": "off",
-    "basis": "taylor",
-    "order": 2,
-    "harmonics": 4,
-    "grid_size": 5,
-    "degree": 3,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "tau": 0.95,
-    "lr": None,
-    "lr_grid": "default",
-    "max_epochs": 500,
-    "patience": 20,
-    "batch": 128,
-    "l1": 0.0,
-    "model": None,
-    "model_a": None,
-    "model_b": None,
-    "split": "all",
-    "taus": "0.90,0.95,1.00",
-    "orders": "1,2,3,4",
-    "bins": 100,
-}
-
 
 def _parse_u64(text: str) -> int:
     value = int(text)
@@ -79,30 +49,45 @@ def _parse_u64(text: str) -> int:
     return value
 
 
-_CONVERTERS = {
-    "data": str, "format": str, "seed": _parse_u64, "out": str, "timing": str,
-    "basis": str, "order": int, "harmonics": int, "grid_size": int,
-    "degree": int, "alpha": float, "beta": float, "tau": float, "lr": float,
-    "lr_grid": str, "max_epochs": int, "patience": int, "batch": int,
-    "l1": float, "model": str, "model_a": str, "model_b": str, "split": str,
-    "taus": str, "orders": str, "bins": int,
+# Every flag, once: key -> (converter, default, choices, help). The key is the
+# --config key and, with '-' for '_', the flag name. Converter and choices
+# check flags and config values alike. --tau is checked in _resolve instead,
+# so a bad ratio is an error exit rather than a usage exit.
+_FLAGS = {
+    "data": (str, None, None, "feature table (CSV or binary)"),
+    "format": (str, None, ("csv", "bin"), "table format; default infers from suffix"),
+    "seed": (_parse_u64, 42, None, "master RNG seed"),
+    "out": (str, "kanreg_out", None, "output directory (default kanreg_out)"),
+    "timing": (str, "off", ("off", "wall"),
+               "'wall' records wall seconds in CSVs; default off keeps them 0"),
+    "basis": (str, "taylor", FAMILIES + ("wavelet", "mlp"), None),
+    "order": (int, 2, None, "expansion order / max degree"),
+    "harmonics": (int, 4, None, "fourier harmonics"),
+    "grid_size": (int, 5, None, None),
+    "degree": (int, 3, None, "bspline degree"),
+    "alpha": (float, 1.0, None, "jacobi alpha"),
+    "beta": (float, 1.0, None, "jacobi beta"),
+    "tau": (float, 0.95, None, "PCA variance ratio: 0.90, 0.95, or 1.0"),
+    "lr": (float, None, None, "single learning rate (skips the grid)"),
+    "lr_grid": (str, "default", None, "'default' or comma-separated rates"),
+    "max_epochs": (int, 500, None, None),
+    "patience": (int, 20, None, None),
+    "batch": (int, 128, None, None),
+    "l1": (float, 0.0, None, "L1 penalty on edge coefficients"),
+    "model": (str, None, None, "model.json from a train run"),
+    "model_a": (str, None, None, None),
+    "model_b": (str, None, None, None),
+    "split": (str, "all", ("all", "test"),
+              "evaluate on the whole table or its seeded test split"),
+    "taus": (str, "0.90,0.95,1.00", None, "comma-separated variance ratios"),
+    "orders": (str, "1,2,3,4", None, "comma-separated orders (default 1,2,3,4)"),
+    "bins": (int, 100, None, None),
 }
 
 _COMMON_KEYS = ("data", "format", "seed", "out", "timing")
 _TRAIN_KEYS = _COMMON_KEYS + (
     "basis", "order", "harmonics", "grid_size", "degree", "alpha", "beta",
     "tau", "lr", "lr_grid", "max_epochs", "patience", "batch", "l1")
-_COMMAND_KEYS = {
-    "train": _TRAIN_KEYS,
-    "cross": _COMMON_KEYS + ("model", "split"),
-    "pca": _COMMON_KEYS + ("taus",),
-    "sweep-order": _TRAIN_KEYS + ("orders",),
-    "sweep-layers": _TRAIN_KEYS,
-    "compare": _COMMON_KEYS + ("model_a", "model_b", "split"),
-    "hist": _COMMON_KEYS + ("bins",),
-}
-
-_BASIS_CHOICES = FAMILIES + ("wavelet", "mlp")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,66 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kanreg",
         description="KAN regression experiments: train, evaluate, and sweep.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--data", help="feature table (CSV or binary)")
-        p.add_argument("--format", choices=("csv", "bin"),
-                       help="table format; default infers from suffix")
-        p.add_argument("--seed", type=_parse_u64, help="master RNG seed")
-        p.add_argument("--out", help="output directory (default kanreg_out)")
-        p.add_argument("--timing", choices=("off", "wall"),
-                       help="'wall' records wall seconds in CSVs; default off keeps them 0")
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-
-    def train_flags(p):
-        p.add_argument("--basis", choices=_BASIS_CHOICES)
-        p.add_argument("--order", type=int, help="expansion order / max degree")
-        p.add_argument("--harmonics", type=int, help="fourier harmonics")
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--degree", type=int, help="bspline degree")
-        p.add_argument("--alpha", type=float, help="jacobi alpha")
-        p.add_argument("--beta", type=float, help="jacobi beta")
-        p.add_argument("--tau", type=float, help="PCA variance ratio: 0.90, 0.95, or 1.0")
-        p.add_argument("--lr", type=float, help="single learning rate (skips the grid)")
-        p.add_argument("--lr-grid", dest="lr_grid",
-                       help="'default' or comma-separated rates")
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--l1", type=float, help="L1 penalty on edge coefficients")
-
-    p = sub.add_parser("train", help="fit one model and report test metrics")
-    common(p)
-    train_flags(p)
-
-    p = sub.add_parser("cross", help="evaluate a saved model on another table")
-    common(p)
-    p.add_argument("--model", help="model.json from a train run")
-    p.add_argument("--split", choices=("all", "test"),
-                   help="evaluate on the whole table or its seeded test split")
-
-    p = sub.add_parser("pca", help="report retained dimensions per variance ratio")
-    common(p)
-    p.add_argument("--taus", help="comma-separated variance ratios")
-
-    p = sub.add_parser("sweep-order", help="train once per expansion order")
-    common(p)
-    train_flags(p)
-    p.add_argument("--orders", help="comma-separated orders (default 1,2,3,4)")
-
-    p = sub.add_parser("sweep-layers", help="depth/reduction timing grid")
-    common(p)
-    train_flags(p)
-
-    p = sub.add_parser("compare", help="paired significance test of two models")
-    common(p)
-    p.add_argument("--model-a", dest="model_a")
-    p.add_argument("--model-b", dest="model_b")
-    p.add_argument("--split", choices=("all", "test"))
-
-    p = sub.add_parser("hist", help="score histogram as CSV")
-    common(p)
-    p.add_argument("--bins", type=int)
+        for key in keys:
+            convert, _, choices, flag_help = _FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=convert,
+                           choices=choices, help=flag_help)
     return parser
 
 
@@ -193,17 +125,21 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
         if key not in keys:
             raise ParameterError(
                 f"config key {key!r} is not valid for {command!r}")
+        convert, _, choices, _ = _FLAGS[key]
         try:
-            values[key] = _CONVERTERS[key](value)
+            values[key] = convert(value)
         except ValueError:
             raise ParseError(f"bad value for {key!r}: {value!r}",
                              line=lineno) from None
+        if choices is not None and values[key] not in choices:
+            raise ParseError(f"bad value for {key!r}: {value!r} is not one of "
+                             f"{', '.join(choices)}", line=lineno)
     return values
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    keys = _COMMAND_KEYS[command]
-    resolved = {k: _DEFAULTS[k] for k in keys}
+    keys = _COMMANDS[command][2]
+    resolved = {k: _FLAGS[k][1] for k in keys}
     if command in ("cross", "compare"):
         resolved["seed"] = None  # filled in from the models by _seed_from_models
     if getattr(args, "config", None):
@@ -222,21 +158,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, convert=float) -> tuple:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(convert(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ParameterError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ParameterError(f"{flag} must not be empty")
-    return values
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ParameterError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        kind = "integers" if convert is int else "numbers"
+        raise ParameterError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
     if not values:
         raise ParameterError(f"{flag} must not be empty")
     return values
@@ -248,35 +175,20 @@ def _lr_grid(cfg: dict) -> tuple[float, ...]:
     text = cfg["lr_grid"]
     if text == "default":
         return DEFAULT_LR_GRID
-    return _parse_float_list(text, "--lr-grid")
+    return _parse_list(text, "--lr-grid")
 
 
-def _basis_spec(cfg: dict) -> BasisSpec | None:
-    """None means the MLP baseline."""
-    family = cfg["basis"]
+def _basis_spec(cfg: dict, family: str | None = None) -> BasisSpec | None:
+    """The spec the CLI keys in ``cfg`` select; None means the MLP baseline.
+
+    A field whose CLI key names a family is a nested spec built from ``cfg``.
+    """
+    family = family or cfg["basis"]
     if family == "mlp":
         return None
-    if family == "taylor":
-        return BasisSpec.taylor(order=cfg["order"])
-    if family == "chebyshev":
-        return BasisSpec.chebyshev(n_max=cfg["order"])
-    if family == "jacobi":
-        return BasisSpec.jacobi(n_max=cfg["order"], alpha=cfg["alpha"],
-                                beta=cfg["beta"])
-    if family == "hermite":
-        return BasisSpec.hermite(n_max=cfg["order"])
-    if family == "gaussian_rbf":
-        return BasisSpec.gaussian_rbf()
-    if family == "bspline":
-        return BasisSpec.bspline(grid_size=cfg["grid_size"], degree=cfg["degree"])
-    if family == "bsrbf":
-        return BasisSpec.bsrbf(
-            spline=BasisSpec.bspline(grid_size=cfg["grid_size"], degree=cfg["degree"]))
-    if family == "wavelet_mexican_hat":
-        return BasisSpec.wavelet()
-    if family == "fourier":
-        return BasisSpec.fourier(n_harmonics=cfg["harmonics"])
-    raise ParameterError(f"unknown basis {family!r}")
+    fields = {attr: _basis_spec(cfg, key) if key in FAMILY_FIELDS else cfg[key]
+              for attr, _, key in FAMILY_FIELDS.get(family, ()) if key}
+    return BasisSpec(family=family, **fields)
 
 
 def _sha256(path: str) -> str:
@@ -287,17 +199,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _write_manifest(out_dir: str, command: str, cfg: dict,
                     input_paths: list[str], outputs: list[str]) -> None:
     doc = {
         "command": command,
-        "config": {k: _jsonable(v) for k, v in sorted(cfg.items())},
+        "config": dict(sorted(cfg.items())),
         "inputs": {p: _sha256(p) for p in input_paths},
         "outputs": sorted(outputs),
         "created_unix": round(time.time(), 3),
@@ -306,10 +212,14 @@ def _write_manifest(out_dir: str, command: str, cfg: dict,
                       json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _ensure_out(cfg: dict) -> str:
+def _start(cfg: dict, command: str, outputs: tuple[str, ...],
+           inputs: tuple[str, ...] = ("data",)) -> list[str]:
+    """Make the output directory and write the manifest; returns the output paths."""
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+    paths = [os.path.join(out_dir, name) for name in outputs]
+    _write_manifest(out_dir, command, cfg, [cfg[key] for key in inputs], paths)
+    return paths
 
 
 def _layers_text(dims) -> str:
@@ -320,10 +230,17 @@ def _csv_seconds(cfg: dict, seconds: float) -> float:
     return seconds if cfg["timing"] == "wall" else 0.0
 
 
-def _report_row(dataset: str, basis_name: str, tau: float, k: int, dims,
-                lr: float, rep: EvalReport, seconds: float, epochs: int) -> str:
-    return (f"{dataset},{basis_name},{tau:.2f},{k},{_layers_text(dims)},"
-            f"{lr:g},{rep.plcc:.6f},{rep.srcc:.6f},{seconds:.3f},{epochs}")
+def _report_row(dataset: str, meta: dict, rep: EvalReport, seconds: float) -> str:
+    return (f"{dataset},{meta['basis']},{meta['tau']:.2f},{meta['k']},{meta['layers']},"
+            f"{meta['lr']:g},{rep.plcc:.6f},{rep.srcc:.6f},{seconds:.3f},{meta['epochs']}")
+
+
+def _finish_sweep(command: str, path: str, lines: list[str], failures: list[str]) -> int:
+    atomic_write_text(path, "\n".join(lines) + "\n")
+    print(f"{command}: wrote {path}")
+    for message in failures:
+        print(f"{command}: FAILED {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _prepare_features(table: FeatureTable, cfg: dict, use_pca: bool):
@@ -345,7 +262,7 @@ def _prepare_features(table: FeatureTable, cfg: dict, use_pca: bool):
     return splits, standardizer, pca_model, scaler, feats
 
 
-def _run_training(table: FeatureTable, feats: np.ndarray, splits, cfg: dict,
+def _run_training(work: FeatureTable, splits, cfg: dict,
                   spec: BasisSpec | None, dims) -> GridSearchResult:
     seed = cfg["seed"]
     init_rng = Rng((seed + 1) & _SEED_MASK)
@@ -357,26 +274,48 @@ def _run_training(table: FeatureTable, feats: np.ndarray, splits, cfg: dict,
         max_epochs=cfg["max_epochs"], patience=cfg["patience"],
         batch_size=cfg["batch"], l1_penalty=cfg["l1"],
         seed=(seed + 2) & _SEED_MASK)
-    work_table = FeatureTable(name=table.name, features=feats, scores=table.scores)
-    return grid_search(net, work_table, splits, train_config, _lr_grid(cfg))
+    return grid_search(net, work, splits, train_config, _lr_grid(cfg))
+
+
+def _train_and_score(table: FeatureTable, prepared, cfg: dict,
+                     spec: BasisSpec | None, dims, model_path: str | None = None):
+    """Grid-search a network on ``prepared`` features and score its test split.
+
+    With ``model_path`` the bundle carries the fitted transforms and the
+    run's meta, is saved there, and is scored on the raw table; without, the
+    bare network is scored on the prepared features. Returns the search, the
+    bundle, the test report and the grid's wall seconds.
+    """
+    splits, standardizer, pca_model, scaler, feats = prepared
+    work = FeatureTable(name=table.name, features=feats, scores=table.scores)
+    search, seconds = measure_time(_run_training, work, splits, cfg, spec, dims)
+    best = search.best_result
+    bundle = ModelBundle(net=search.best_net, target_mean=best.target_mean,
+                         target_std=best.target_std)
+    if model_path is None:
+        return search, bundle, evaluate(bundle, work, splits.test), seconds
+    bundle.standardizer, bundle.pca, bundle.feature_scaler = standardizer, pca_model, scaler
+    bundle.meta = {
+        "dataset": table.name, "basis": cfg["basis"],
+        "tau": cfg["tau"] if spec is not None else 1.0, "k": feats.shape[1],
+        "layers": _layers_text(dims), "lr": search.best_lr,
+        "epochs": best.epochs_run, "seed": cfg["seed"],
+    }
+    save_model(model_path, bundle)
+    report = evaluate(bundle, table, splits.test, train_seconds=best.wall_seconds)
+    return search, bundle, report, seconds
 
 
 def cmd_train(cfg: dict) -> int:
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    model_path = os.path.join(out_dir, "model.json")
-    report_path = os.path.join(out_dir, "report.csv")
-    grid_path = os.path.join(out_dir, "lr_grid.csv")
-    _write_manifest(out_dir, "train", cfg, [cfg["data"]],
-                    [model_path, report_path, grid_path])
-
+    model_path, report_path, grid_path = _start(
+        cfg, "train", ("model.json", "report.csv", "lr_grid.csv"))
     spec = _basis_spec(cfg)
-    use_pca = spec is not None
-    splits, standardizer, pca_model, scaler, feats = _prepare_features(table, cfg, use_pca)
-    k = feats.shape[1]
+    prepared = _prepare_features(table, cfg, use_pca=spec is not None)
+    k = prepared[-1].shape[1]
     dims = mlp_dims(k) if spec is None else auto_configure(k, 1)
-    search, search_seconds = measure_time(
-        _run_training, table, feats, splits, cfg, spec, dims)
+    search, bundle, report, search_seconds = _train_and_score(
+        table, prepared, cfg, spec, dims, model_path)
     best = search.best_result
 
     grid_lines = ["lr,plcc,srcc,val_loss,seconds,epochs,status"]
@@ -387,27 +326,12 @@ def cmd_train(cfg: dict) -> int:
             f"{row.val_loss:.8g},{_csv_seconds(cfg, row.seconds):.3f},"
             f"{row.epochs},{status}")
     atomic_write_text(grid_path, "\n".join(grid_lines) + "\n")
-
-    tau_used = cfg["tau"] if use_pca else 1.0
-    basis_name = cfg["basis"]
-    bundle = ModelBundle(
-        net=search.best_net, standardizer=standardizer, pca=pca_model,
-        feature_scaler=scaler,
-        target_mean=best.target_mean, target_std=best.target_std,
-        meta={
-            "dataset": table.name, "basis": basis_name, "tau": tau_used,
-            "k": k, "layers": _layers_text(dims), "lr": search.best_lr,
-            "epochs": best.epochs_run, "seed": cfg["seed"],
-        })
-    save_model(model_path, bundle)
-
-    report = evaluate(bundle, table, splits.test, train_seconds=best.wall_seconds)
-    row = _report_row(table.name, basis_name, tau_used, k, dims, search.best_lr,
-                      report, _csv_seconds(cfg, best.wall_seconds), best.epochs_run)
+    meta = bundle.meta
+    row = _report_row(table.name, meta, report, _csv_seconds(cfg, best.wall_seconds))
     atomic_write_text(report_path, REPORT_HEADER + "\n" + row + "\n")
 
-    print(f"train: {table.name} basis={basis_name} tau={tau_used:.2f} k={k} "
-          f"layers={_layers_text(dims)} lr={search.best_lr:g}")
+    print(f"train: {table.name} basis={meta['basis']} tau={meta['tau']:.2f} k={k} "
+          f"layers={meta['layers']} lr={meta['lr']:g}")
     print(f"train: test PLCC={report.plcc:.6f} SRCC={report.srcc:.6f} "
           f"epochs={best.epochs_run} train_seconds={best.wall_seconds:.3f} "
           f"grid_seconds={search_seconds:.3f}")
@@ -438,7 +362,7 @@ def _seed_from_models(cfg: dict, command: str, bundles: dict) -> None:
             named = " and ".join(f"{flag} with seed {seed}" for flag, seed in seeds.items())
             raise ParameterError(f"{command}: the models were trained {named}; "
                                  f"pass --seed to choose the test split")
-        cfg["seed"] = distinct[0] if len(distinct) == 1 else _DEFAULTS["seed"]
+        cfg["seed"] = distinct[0] if len(distinct) == 1 else _FLAGS["seed"][1]
     elif cfg["split"] == "test":
         for seed in distinct:
             if seed != cfg["seed"]:
@@ -447,25 +371,29 @@ def _seed_from_models(cfg: dict, command: str, bundles: dict) -> None:
                       f"held-out rows", file=sys.stderr)
 
 
+# The meta fields a cross row shows: key -> (converter, value when absent).
+_ROW_META = {"basis": (str, "unknown"), "tau": (float, 1.0), "k": (int, None),
+             "layers": (str, ""), "lr": (float, 0.0), "epochs": (int, 0)}
+
+
 def cmd_cross(cfg: dict) -> int:
     if cfg.get("model") is None:
         raise ParameterError("--model is required for cross")
     bundle = load_model(cfg["model"])
     _seed_from_models(cfg, "cross", {"model": bundle})
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "cross.csv")
-    _write_manifest(out_dir, "cross", cfg, [cfg["data"], cfg["model"]],
-                    [report_path])
+    (report_path,) = _start(cfg, "cross", ("cross.csv",), ("data", "model"))
 
+    meta = {}
+    for key, (convert, default) in _ROW_META.items():
+        value = bundle.meta.get(key, table.d if key == "k" else default)
+        try:
+            meta[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"meta.{key} is malformed: {value!r}") from None
     indices = split(table.n, cfg["seed"]).test if cfg["split"] == "test" else None
     report = evaluate(bundle, table, indices)
-    meta = bundle.meta
-    row = _report_row(
-        table.name, str(meta.get("basis", "unknown")),
-        float(meta.get("tau", 1.0)), int(meta.get("k", table.d)),
-        str(meta.get("layers", "")).split("-"), float(meta.get("lr", 0.0)),
-        report, 0.0, int(meta.get("epochs", 0)))
+    row = _report_row(table.name, meta, report, 0.0)
     atomic_write_text(report_path, REPORT_HEADER + "\n" + row + "\n")
     print(f"cross: {table.name} n={report.n} PLCC={report.plcc:.6f} "
           f"SRCC={report.srcc:.6f}")
@@ -475,11 +403,9 @@ def cmd_cross(cfg: dict) -> int:
 
 def cmd_pca(cfg: dict) -> int:
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "pca_report.csv")
-    _write_manifest(out_dir, "pca", cfg, [cfg["data"]], [report_path])
+    (report_path,) = _start(cfg, "pca", ("pca_report.csv",))
 
-    taus = _parse_float_list(cfg["taus"], "--taus")
+    taus = _parse_list(cfg["taus"], "--taus")
     d = table.d
     splits = split(table.n, cfg["seed"])
     standardizer = fit_standardizer(table.features, splits.train)
@@ -499,14 +425,9 @@ def cmd_pca(cfg: dict) -> int:
     return 0
 
 
-_ORDER_FAMILIES = {"taylor", "chebyshev", "jacobi", "hermite", "fourier"}
-
-
-def _spec_with_order(cfg: dict, order: int) -> BasisSpec:
-    sub = dict(cfg)
-    sub["order"] = order
-    sub["harmonics"] = order
-    return _basis_spec(sub)
+# Families with a field that --order (or --harmonics) sets.
+_ORDER_FAMILIES = {family for family, fields in FAMILY_FIELDS.items()
+                   if any(key in ("order", "harmonics") for *_, key in fields)}
 
 
 def cmd_sweep_order(cfg: dict) -> int:
@@ -514,40 +435,26 @@ def cmd_sweep_order(cfg: dict) -> int:
         raise ParameterError(
             f"sweep-order needs an order-parameterized basis, got {cfg['basis']!r}")
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "sweep_order.csv")
-    _write_manifest(out_dir, "sweep-order", cfg, [cfg["data"]], [report_path])
+    (report_path,) = _start(cfg, "sweep-order", ("sweep_order.csv",))
 
-    orders = _parse_int_list(cfg["orders"], "--orders")
-    splits, _, _, _, feats = _prepare_features(table, cfg, use_pca=True)
-    k = feats.shape[1]
-    dims = auto_configure(k, 1)
+    orders = _parse_list(cfg["orders"], "--orders", int)
+    prepared = _prepare_features(table, cfg, use_pca=True)
+    dims = auto_configure(prepared[-1].shape[1], 1)
     lines = ["order,plcc,srcc,seconds"]
     failures = []
     for order in orders:
-        spec = _spec_with_order(cfg, order)
+        spec = _basis_spec(dict(cfg, order=order, harmonics=order))
         try:
-            search, _ = measure_time(
-                _run_training, table, feats, splits, cfg, spec, dims)
+            search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
         except KanregError as e:
             failures.append(f"order {order}: {e}")
             lines.append(f"{order},nan,nan,nan")
             continue
-        bundle = ModelBundle(
-            net=search.best_net, standardizer=None, pca=None,
-            target_mean=search.best_result.target_mean,
-            target_std=search.best_result.target_std)
-        work = FeatureTable(name=table.name, features=feats, scores=table.scores)
-        report = evaluate(bundle, work, splits.test)
         seconds = search.best_result.wall_seconds
         lines.append(f"{order},{report.plcc:.6f},{report.srcc:.6f},{seconds:.3f}")
         print(f"sweep-order: order={order} PLCC={report.plcc:.6f} "
               f"SRCC={report.srcc:.6f} seconds={seconds:.3f}")
-    atomic_write_text(report_path, "\n".join(lines) + "\n")
-    print(f"sweep-order: wrote {report_path}")
-    for message in failures:
-        print(f"sweep-order: FAILED {message}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_sweep("sweep-order", report_path, lines, failures)
 
 
 _LAYER_GRID = ((6, 1.00), (4, 1.00), (4, 0.95))
@@ -558,35 +465,28 @@ def cmd_sweep_layers(cfg: dict) -> int:
     if spec is None:
         raise ParameterError("sweep-layers applies to KAN bases, not mlp")
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "sweep_layers.csv")
-    _write_manifest(out_dir, "sweep-layers", cfg, [cfg["data"]], [report_path])
+    (report_path,) = _start(cfg, "sweep-layers", ("sweep_layers.csv",))
 
+    prepared = {}  # tau -> features; they do not depend on the depth
     results = []
     failures = []
     for depth, tau in _LAYER_GRID:
-        row_cfg = dict(cfg)
-        row_cfg["tau"] = tau
-        splits, _, _, _, feats = _prepare_features(table, row_cfg, use_pca=True)
-        k = feats.shape[1]
+        row_cfg = dict(cfg, tau=tau)
+        if tau not in prepared:
+            prepared[tau] = _prepare_features(table, row_cfg, use_pca=True)
+        k = prepared[tau][-1].shape[1]
         dims = six_layer_dims(k) if depth == 6 else auto_configure(k, 1)
         try:
-            search, _ = measure_time(
-                _run_training, table, feats, splits, row_cfg, spec, dims)
+            search, _, report, _ = _train_and_score(
+                table, prepared[tau], row_cfg, spec, dims)
         except KanregError as e:
             failures.append(f"L={depth} tau={tau:.2f}: {e}")
             results.append((depth, tau, None, None, float("nan")))
             continue
-        bundle = ModelBundle(
-            net=search.best_net, standardizer=None, pca=None,
-            target_mean=search.best_result.target_mean,
-            target_std=search.best_result.target_std)
-        work = FeatureTable(name=table.name, features=feats, scores=table.scores)
-        report = evaluate(bundle, work, splits.test)
-        results.append((depth, tau, report.plcc, report.srcc,
-                        search.best_result.wall_seconds))
+        seconds = search.best_result.wall_seconds
+        results.append((depth, tau, report.plcc, report.srcc, seconds))
         print(f"sweep-layers: L={depth} tau={tau:.2f} k={k} "
-              f"PLCC={report.plcc:.6f} seconds={search.best_result.wall_seconds:.3f}")
+              f"PLCC={report.plcc:.6f} seconds={seconds:.3f}")
 
     baseline = results[0][4]
     lines = ["layers,tau,plcc,srcc,seconds,speedup"]
@@ -597,11 +497,7 @@ def cmd_sweep_layers(cfg: dict) -> int:
         speedup = baseline / max(seconds, 1e-9)
         lines.append(f"{depth},{tau:.2f},{pl:.6f},{sr:.6f},"
                      f"{seconds:.3f},{speedup:.2f}")
-    atomic_write_text(report_path, "\n".join(lines) + "\n")
-    print(f"sweep-layers: wrote {report_path}")
-    for message in failures:
-        print(f"sweep-layers: FAILED {message}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_sweep("sweep-layers", report_path, lines, failures)
 
 
 def cmd_compare(cfg: dict) -> int:
@@ -611,10 +507,8 @@ def cmd_compare(cfg: dict) -> int:
     bundle_b = load_model(cfg["model_b"])
     _seed_from_models(cfg, "compare", {"model-a": bundle_a, "model-b": bundle_b})
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "compare.csv")
-    _write_manifest(out_dir, "compare", cfg,
-                    [cfg["data"], cfg["model_a"], cfg["model_b"]], [report_path])
+    (report_path,) = _start(cfg, "compare", ("compare.csv",),
+                            ("data", "model_a", "model_b"))
 
     if cfg["split"] == "test":
         idx = split(table.n, cfg["seed"]).test
@@ -622,7 +516,6 @@ def cmd_compare(cfg: dict) -> int:
         idx = np.arange(table.n)
     feats = table.features[idx]
     y = table.scores[idx]
-    from .network import predict
     preds_a = predict(bundle_a, feats)
     preds_b = predict(bundle_b, feats)
     sig = paired_t_test(preds_a, preds_b)
@@ -642,9 +535,7 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_hist(cfg: dict) -> int:
     table = load_table(cfg["data"], cfg["format"])
-    out_dir = _ensure_out(cfg)
-    report_path = os.path.join(out_dir, "hist.csv")
-    _write_manifest(out_dir, "hist", cfg, [cfg["data"]], [report_path])
+    (report_path,) = _start(cfg, "hist", ("hist.csv",))
 
     edges, counts = mos_histogram(table.scores, cfg["bins"])
     lines = ["bin_lo,bin_hi,count"]
@@ -657,14 +548,19 @@ def cmd_hist(cfg: dict) -> int:
     return 0
 
 
+# command -> (handler, help, the keys of _FLAGS it takes)
 _COMMANDS = {
-    "train": cmd_train,
-    "cross": cmd_cross,
-    "pca": cmd_pca,
-    "sweep-order": cmd_sweep_order,
-    "sweep-layers": cmd_sweep_layers,
-    "compare": cmd_compare,
-    "hist": cmd_hist,
+    "train": (cmd_train, "fit one model and report test metrics", _TRAIN_KEYS),
+    "cross": (cmd_cross, "evaluate a saved model on another table",
+              _COMMON_KEYS + ("model", "split")),
+    "pca": (cmd_pca, "report retained dimensions per variance ratio",
+            _COMMON_KEYS + ("taus",)),
+    "sweep-order": (cmd_sweep_order, "train once per expansion order",
+                    _TRAIN_KEYS + ("orders",)),
+    "sweep-layers": (cmd_sweep_layers, "depth/reduction timing grid", _TRAIN_KEYS),
+    "compare": (cmd_compare, "paired significance test of two models",
+                _COMMON_KEYS + ("model_a", "model_b", "split")),
+    "hist": (cmd_hist, "score histogram as CSV", _COMMON_KEYS + ("bins",)),
 }
 
 
@@ -673,7 +569,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (KanregError, OSError) as e:
         print(f"kanreg {args.command}: error: {e}", file=sys.stderr)
         return 1

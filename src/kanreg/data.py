@@ -66,10 +66,6 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    _atomic_write(path, payload)
-
-
 def _atomic_write(path, payload: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -176,7 +172,7 @@ def save_table(table: FeatureTable, path, fmt: str | None = None) -> None:
         payload = _HEADER.pack(BINARY_MAGIC, BINARY_VERSION, n, d)
         payload += table.features.astype("<f8").tobytes(order="C")
         payload += table.scores.astype("<f8").tobytes(order="C")
-        atomic_write_bytes(path, payload)
+        _atomic_write(path, payload)
 
 
 def split(n: int, seed: int) -> SplitIndices:

@@ -86,7 +86,6 @@ class GradientSet:
     """Flat, ordered gradient arrays aligned with :func:`params_of`."""
 
     arrays: list[np.ndarray]
-    labels: list[str]
 
 
 @dataclass
@@ -169,28 +168,24 @@ def init_mlp(dims, rng: Rng) -> MlpNetwork:
     return MlpNetwork(weights=weights, biases=biases)
 
 
-def params_of(net) -> tuple[list[np.ndarray], list[str]]:
-    """All trainable arrays of ``net`` in canonical order, with labels."""
-    arrays: list[np.ndarray] = []
-    labels: list[str] = []
+def params_of(net) -> tuple[list[np.ndarray], list[bool]]:
+    """All trainable arrays of ``net`` in canonical order, with L1 flags.
+
+    The flag is true for the arrays an L1 penalty applies to: edge
+    coefficients (KAN) and weight matrices (MLP), never wavelet scales and
+    shifts or biases.
+    """
     if isinstance(net, KanNetwork):
-        for l, layer in enumerate(net.layers):
-            arrays.append(layer.coeffs)
-            labels.append(f"layer{l}.coeffs")
+        pairs = []
+        for layer in net.layers:
+            pairs.append((layer.coeffs, True))
             if layer.scales is not None:
-                arrays.append(layer.scales)
-                labels.append(f"layer{l}.scales")
-                arrays.append(layer.shifts)
-                labels.append(f"layer{l}.shifts")
+                pairs += [(layer.scales, False), (layer.shifts, False)]
     elif isinstance(net, MlpNetwork):
-        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays.append(w)
-            labels.append(f"layer{l}.weights")
-            arrays.append(b)
-            labels.append(f"layer{l}.biases")
+        pairs = [pair for w, b in zip(net.weights, net.biases) for pair in ((w, True), (b, False))]
     else:
         raise ParameterError(f"unsupported network type {type(net).__name__}")
-    return arrays, labels
+    return [p for p, _ in pairs], [flag for _, flag in pairs]
 
 
 def _as_batch(x, expected_dim: int) -> np.ndarray:
@@ -262,7 +257,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         raise ShapeError(f"out_grads has length {g.size}, expected {cache.n}")
     grad = g[:, None]
     squash = net.spec.squashes_input()
-    per_layer: list[tuple] = []
+    per_layer: list[list[np.ndarray]] = [[] for _ in net.layers]
     for l in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[l]
         data = cache.layer_data[l]
@@ -272,14 +267,14 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
             scale_grad = np.einsum("noi,noi->oi", common, data["d_scale"])
             shift_grad = np.einsum("noi,noi->oi", common, data["d_shift"])
-            per_layer.append((l, [coeff_grad, scale_grad, shift_grad]))
+            per_layer[l] = [coeff_grad, scale_grad, shift_grad]
             if l == 0:
                 break
             du = np.einsum("noi,noi->ni", common, data["d_x"])
         else:
             n = val.shape[0]
             coeff_grad = (grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)
-            per_layer.append((l, [coeff_grad]))
+            per_layer[l] = [coeff_grad]
             if l == 0:
                 break
             p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
@@ -289,18 +284,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             grad = du * (1.0 - u * u)
         else:
             grad = du
-    per_layer.sort(key=lambda item: item[0])
-    arrays: list[np.ndarray] = []
-    labels: list[str] = []
-    for l, grads in per_layer:
-        arrays.append(grads[0])
-        labels.append(f"layer{l}.coeffs")
-        if len(grads) == 3:
-            arrays.append(grads[1])
-            labels.append(f"layer{l}.scales")
-            arrays.append(grads[2])
-            labels.append(f"layer{l}.shifts")
-    return GradientSet(arrays=arrays, labels=labels)
+    return GradientSet(arrays=[g for grads in per_layer for g in grads])
 
 
 def mlp_forward(net: MlpNetwork, x, want_cache: bool = True):
@@ -338,25 +322,7 @@ def mlp_backward(net: MlpNetwork, cache: ForwardCache, out_grads) -> GradientSet
         if l > 0:
             grad = grad @ net.weights[l]
             grad = grad * (cache.layer_data[l - 1]["pre"] > 0.0)
-    arrays: list[np.ndarray] = []
-    labels: list[str] = []
-    for l in range(len(net.weights)):
-        arrays.append(w_grads[l])
-        labels.append(f"layer{l}.weights")
-        arrays.append(b_grads[l])
-        labels.append(f"layer{l}.biases")
-    return GradientSet(arrays=arrays, labels=labels)
-
-
-def estimate_forward_cost(dims, spec: BasisSpec) -> int:
-    """Multiply-accumulate count sum_l dims[l] * b * dims[l+1].
-
-    For coefficient families this equals the number of learned
-    coefficients; the wavelet family adds its per-edge scale/shift on top.
-    """
-    dims = _check_dims(dims)
-    b = basis_size(spec)
-    return int(sum(dims[l] * b * dims[l + 1] for l in range(len(dims) - 1)))
+    return GradientSet(arrays=[g for pair in zip(w_grads, b_grads) for g in pair])
 
 
 @dataclass
@@ -563,7 +529,7 @@ def load_model(path) -> ModelBundle:
     else:
         try:
             spec = BasisSpec.from_dict(_object(doc, "basis", {"family": family}))
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"basis is invalid: {e!r}") from None
         coeffs = doc.get("coeffs")
         _require(isinstance(coeffs, list) and len(coeffs) == len(dims) - 1,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DegenerateDataError, InsufficientDataError, NumericError,
                      ParameterError, ShapeError)
-from .linalg import as_matrix, sym_eig
+from .linalg import as_matrix, covariance, sym_eig
 
 K_FLOOR = 64
 
@@ -125,14 +125,11 @@ def fit(features, tau: float) -> PcaModel:
     if n < 2:
         raise InsufficientDataError(f"pca fit needs at least 2 rows, got {n}")
     mean = x.mean(axis=0)
-    centered = x - mean
     if d <= n:
-        cov = (centered.T @ centered) / (n - 1)
-        cov = (cov + cov.T) / 2.0
-        w, vectors = sym_eig(cov)
+        w, available = sym_eig(covariance(x))
         eigenvalues = _clean_spectrum(w)
-        available = vectors
     else:
+        centered = x - mean
         gram = (centered @ centered.T) / (n - 1)
         gram = (gram + gram.T) / 2.0
         mu, u = sym_eig(gram)

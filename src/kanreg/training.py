@@ -131,12 +131,6 @@ def measure_time(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _l1_mask(labels: list[str]) -> list[bool]:
-    # Penalize edge coefficients (KAN) and weight matrices (MLP); never the
-    # wavelet scale/shift parameters or biases.
-    return [label.endswith(".coeffs") or label.endswith(".weights") for label in labels]
-
-
 def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -> TrainResult:
     """Train ``net`` in place on the table's train split; returns the run record.
 
@@ -159,8 +153,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     y_val = (y_val_raw - t_mean) / t_std
     raw_scale = t_std * t_std
 
-    params, labels = params_of(net)
-    penalized = _l1_mask(labels)
+    params, penalized = params_of(net)
     state = init_adam(params)
     n_train = x_train.shape[0]
     batch = n_train if n_train < config.batch_size else config.batch_size

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from kanreg.basis import BasisSpec
+from kanreg import cli
 from kanreg.cli import REPORT_HEADER, main
-from kanreg.data import Standardizer, make_synthetic, save_table, split
+from kanreg.data import (Standardizer, fit_standardizer, make_synthetic,
+                         save_table, split)
 from kanreg.linalg import Rng
 from kanreg.network import ModelBundle, init_network, save_model
 
@@ -187,6 +189,21 @@ class TestConfigFile:
                      str(tmp_path / "x"), "--config", str(conf)])
         assert code == 1
 
+    @pytest.mark.parametrize("command, line", [("cross", "split = tset"),
+                                               ("hist", "timing = wal")])
+    def test_value_outside_choices_names_the_line(self, small_csv, tmp_path, capsys,
+                                                  command, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"# a typo on line 2\n{line}\n")
+        out = tmp_path / "x"
+        code = main([command, "--data", small_csv, "--out", str(out),
+                     "--config", str(conf)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"bad value for {line.split(' = ')[0]!r}" in err
+        assert "line 2" in err
+        assert not out.exists()
+
     def test_config_can_supply_data_path(self, small_csv, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(f"data = {small_csv}\nbins = 4\n")
@@ -250,6 +267,19 @@ class TestCrossCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "layer_dims[0] must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("tau", "abc"), ("k", "x"),
+                                            ("lr", None), ("epochs", "1.5")])
+    def test_malformed_meta_exits_with_named_error(self, small_csv, tmp_path, capsys,
+                                                   key, value):
+        model = tmp_path / "m.json"
+        bundle = _linear_probe_bundle(6, 1.0, 0.0)
+        bundle.meta[key] = value
+        save_model(model, bundle)
+        code = main(["cross", "--data", small_csv, "--model", str(model),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"meta.{key} is malformed: {value!r}" in capsys.readouterr().err
 
     def test_whole_table_evaluation(self, small_csv, tmp_path):
         train_out = tmp_path / "train"
@@ -358,6 +388,21 @@ class TestSweepLayers:
         assert rows[0].split(",")[5] == "1.00"    # self-baseline
         # sweep timings are always measured, even without --timing wall
         assert float(rows[0].split(",")[4]) > 0.0
+
+    def test_features_prepared_once_per_tau(self, small_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fit_standardizer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_standardizer", counting)
+        argv = _train_args(small_csv, str(tmp_path / "run"), basis="chebyshev",
+                           order="3", **{"max-epochs": "2"})
+        argv[0:1] = ["sweep-layers"]
+        assert main(argv) == 0
+        # two distinct taus, each fitting a standardizer and a final scaler
+        assert len(calls) == 4
 
     def test_mlp_rejected(self, small_csv, tmp_path, capsys):
         argv = _train_args(small_csv, str(tmp_path / "x"), basis="mlp")

@@ -24,7 +24,6 @@ from kanreg.network import (
     ModelBundle,
     auto_configure,
     backward,
-    estimate_forward_cost,
     forward,
     init_mlp,
     init_network,
@@ -91,30 +90,6 @@ class TestAutoConfigure:
     def test_mlp_dims(self):
         assert mlp_dims(2048) == [2048, 1024, 512, 256, 128, 1]
         assert mlp_dims(100) == [100, 1024, 512, 256, 128, 1]
-
-
-class TestForwardCost:
-    def test_worked_example(self):
-        assert estimate_forward_cost([2, 3, 2, 1], BasisSpec.taylor(2)) == 42
-
-    def test_single_term(self):
-        assert estimate_forward_cost([17, 1], BasisSpec.wavelet()) == 17
-
-    def test_additive_over_concatenation(self):
-        spec = BasisSpec.chebyshev(4)
-        whole = estimate_forward_cost([5, 8, 4, 1], spec)
-        parts = (estimate_forward_cost([5, 8], spec)
-                 + estimate_forward_cost([8, 4], spec)
-                 + estimate_forward_cost([4, 1], spec))
-        assert whole == parts
-
-    def test_equals_coefficient_count(self):
-        for name, spec in ALL_SPECS.items():
-            if name == "wavelet_mexican_hat":
-                continue
-            net = init_network([5, 8, 4, 1], spec, Rng(0))
-            count = sum(layer.coeffs.size for layer in net.layers)
-            assert estimate_forward_cost([5, 8, 4, 1], spec) == count
 
 
 class TestInit:
@@ -288,16 +263,28 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(net, cache, np.ones(5))
 
-    def test_labels_cover_all_parameters(self):
-        net = init_network([3, 2, 1], BasisSpec.wavelet(), Rng(0))
-        params, labels = params_of(net)
-        assert labels == ["layer0.coeffs", "layer0.scales", "layer0.shifts",
-                          "layer1.coeffs", "layer1.scales", "layer1.shifts"]
-        _, cache = forward(net, np.random.default_rng(0).normal(size=(4, 3)))
-        grads = backward(net, cache, np.ones(4))
-        assert grads.labels == labels
-        for p, g in zip(params, grads.arrays):
-            assert p.shape == g.shape
+    def test_l1_flags_cover_all_parameters(self):
+        # L1 applies to edge coefficients and MLP weights, never to wavelet
+        # scales/shifts or biases; gradients come in the parameters' order.
+        kan = init_network([3, 2, 1], BasisSpec.wavelet(), Rng(0))
+        mlp = init_mlp([3, 2, 1], Rng(0))
+        cases = [
+            (kan, [a for l in kan.layers for a in (l.coeffs, l.scales, l.shifts)],
+             [True, False, False, True, False, False]),
+            (mlp, [a for pair in zip(mlp.weights, mlp.biases) for a in pair],
+             [True, False, True, False]),
+        ]
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        for net, arrays, want_flags in cases:
+            params, flags = params_of(net)
+            assert flags == want_flags
+            assert all(p is a for p, a in zip(params, arrays))
+            assert len(params) == len(arrays)
+            _, cache = forward(net, x)
+            grads = backward(net, cache, np.ones(4))
+            assert len(grads.arrays) == len(params)
+            for p, g in zip(params, grads.arrays):
+                assert p.shape == g.shape
 
     @pytest.mark.parametrize("family", sorted(ALL_SPECS))
     def test_finite_difference_suite(self, family):
@@ -520,7 +507,8 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("field, value", [
         ("layer_dims", ["x", 1]), ("layer_dims", [3.0, 1]), ("standardizer", {"stds": [1.0]}),
-        ("pca", {"mean": [0.0]}), ("meta", [1]), ("basis", {"family": "taylor"})])
+        ("pca", {"mean": [0.0]}), ("meta", [1]), ("basis", {"family": "taylor"}),
+        ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}})])
     def test_malformed_fields_are_named_format_errors(self, field, value, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(113))
         path = tmp_path / "model.json"
