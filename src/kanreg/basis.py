@@ -362,22 +362,17 @@ def eval_bspline(x, grid_size: int, degree: int):
         tk = t[k:k + width]
         t1 = t[1:1 + width]
         tk1 = t[k + 1:k + 1 + width]
-        prev_next = prev  # level k-1, kept for the derivative at k == degree
-        cur = ((xcol - t0) / (tk - t0)) * prev[:, :width] \
-            + ((tk1 - xcol) / (tk1 - t1)) * prev[:, 1:width + 1]
-        if k == degree:
-            low = prev_next
-        prev = cur
+        low = prev  # level k-1; the derivative reads level degree-1
+        prev = ((xcol - t0) / (tk - t0)) * low[:, :width] \
+            + ((tk1 - xcol) / (tk1 - t1)) * low[:, 1:width + 1]
     b = grid_size + degree
     vals = prev[:, :b]
     if degree == 0:
         d = np.zeros_like(vals)
     else:
-        d = np.empty((xf.size, b))
         p = degree
-        for i in range(b):
-            d[:, i] = p * (low[:, i] / (t[i + p] - t[i])
-                           - low[:, i + 1] / (t[i + p + 1] - t[i + 1]))
+        d = p * (low[:, :b] / (t[p:p + b] - t[:b])
+                 - low[:, 1:b + 1] / (t[p + 1:p + 1 + b] - t[1:b + 1]))
     return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
 
 

@@ -84,6 +84,10 @@ _FLAGS = {
     "bins": (int, 100, None, None),
 }
 
+# The list-valued flags, parsed by _resolve so that a malformed list fails
+# before the output directory is made: key -> converter of one entry.
+_LIST_FLAGS = {"lr_grid": float, "taus": float, "orders": int}
+
 _COMMON_KEYS = ("data", "format", "seed", "out", "timing")
 _TRAIN_KEYS = _COMMON_KEYS + (
     "basis", "order", "harmonics", "grid_size", "degree", "alpha", "beta",
@@ -155,10 +159,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             f"--tau must be one of 0.90, 0.95, 1.0; got {resolved['tau']}")
     if "basis" in resolved and resolved["basis"] == "wavelet":
         resolved["basis"] = "wavelet_mexican_hat"
+    for key, convert in _LIST_FLAGS.items():
+        if key == "lr_grid" and resolved.get(key) == "default":
+            resolved[key] = DEFAULT_LR_GRID
+        elif key in resolved:
+            resolved[key] = _parse_list(resolved[key], "--" + key.replace("_", "-"), convert)
     return resolved
 
 
-def _parse_list(text: str, flag: str, convert=float) -> tuple:
+def _parse_list(text: str, flag: str, convert) -> tuple:
     try:
         values = tuple(convert(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -167,15 +176,6 @@ def _parse_list(text: str, flag: str, convert=float) -> tuple:
     if not values:
         raise ParameterError(f"{flag} must not be empty")
     return values
-
-
-def _lr_grid(cfg: dict) -> tuple[float, ...]:
-    if cfg.get("lr") is not None:
-        return (cfg["lr"],)
-    text = cfg["lr_grid"]
-    if text == "default":
-        return DEFAULT_LR_GRID
-    return _parse_list(text, "--lr-grid")
 
 
 def _basis_spec(cfg: dict, family: str | None = None) -> BasisSpec | None:
@@ -274,7 +274,8 @@ def _run_training(work: FeatureTable, splits, cfg: dict,
         max_epochs=cfg["max_epochs"], patience=cfg["patience"],
         batch_size=cfg["batch"], l1_penalty=cfg["l1"],
         seed=(seed + 2) & _SEED_MASK)
-    return grid_search(net, work, splits, train_config, _lr_grid(cfg))
+    grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
+    return grid_search(net, work, splits, train_config, grid)
 
 
 def _train_and_score(table: FeatureTable, prepared, cfg: dict,
@@ -302,7 +303,7 @@ def _train_and_score(table: FeatureTable, prepared, cfg: dict,
         "epochs": best.epochs_run, "seed": cfg["seed"],
     }
     save_model(model_path, bundle)
-    report = evaluate(bundle, table, splits.test, train_seconds=best.wall_seconds)
+    report = evaluate(bundle, table, splits.test)
     return search, bundle, report, seconds
 
 
@@ -405,7 +406,7 @@ def cmd_pca(cfg: dict) -> int:
     table = load_table(cfg["data"], cfg["format"])
     (report_path,) = _start(cfg, "pca", ("pca_report.csv",))
 
-    taus = _parse_list(cfg["taus"], "--taus")
+    taus = cfg["taus"]
     d = table.d
     splits = split(table.n, cfg["seed"])
     standardizer = fit_standardizer(table.features, splits.train)
@@ -417,7 +418,7 @@ def cmd_pca(cfg: dict) -> int:
         eigenvalues = fit_pca(standardized[splits.train], min(reduced)).eigenvalues
     lines = ["tau,k,reduction_pct"]
     for tau in taus:
-        k = d if tau >= 1.0 else select_k(eigenvalues, tau, d)
+        k = d if tau >= 1.0 else select_k(eigenvalues, tau)
         lines.append(f"{tau:.2f},{k},{100.0 * (1.0 - k / d):.4f}")
     atomic_write_text(report_path, "\n".join(lines) + "\n")
     print("pca: " + "; ".join(lines[1:]))
@@ -437,12 +438,11 @@ def cmd_sweep_order(cfg: dict) -> int:
     table = load_table(cfg["data"], cfg["format"])
     (report_path,) = _start(cfg, "sweep-order", ("sweep_order.csv",))
 
-    orders = _parse_list(cfg["orders"], "--orders", int)
     prepared = _prepare_features(table, cfg, use_pca=True)
     dims = auto_configure(prepared[-1].shape[1], 1)
     lines = ["order,plcc,srcc,seconds"]
     failures = []
-    for order in orders:
+    for order in cfg["orders"]:
         spec = _basis_spec(dict(cfg, order=order, harmonics=order))
         try:
             search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
@@ -518,7 +518,7 @@ def cmd_compare(cfg: dict) -> int:
     y = table.scores[idx]
     preds_a = predict(bundle_a, feats)
     preds_b = predict(bundle_b, feats)
-    sig = paired_t_test(preds_a, preds_b)
+    sig = paired_t_test(np.abs(preds_a - y), np.abs(preds_b - y))
     name_a = str(bundle_a.meta.get("basis", "model_a"))
     name_b = str(bundle_b.meta.get("basis", "model_b"))
     line = (f"{name_a},{name_b},{plcc(preds_a, y):.6f},{srcc(preds_a, y):.6f},"

@@ -198,13 +198,11 @@ def split(n: int, seed: int) -> SplitIndices:
     )
 
 
-def fit_standardizer(features, indices=None, epsilon: float = 1e-8) -> Standardizer:
+def fit_standardizer(features, indices=None) -> Standardizer:
     """Column means / population stds over the selected rows only."""
-    if isinstance(features, FeatureTable):
-        features = features.features
     rows = features if indices is None else features[np.asarray(indices, dtype=np.int64)]
     means, stds = column_stats(rows)
-    return Standardizer(means=means, stds=stds, epsilon=float(epsilon))
+    return Standardizer(means=means, stds=stds)
 
 
 def apply_standardizer(std: Standardizer, features) -> np.ndarray:

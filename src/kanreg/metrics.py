@@ -50,17 +50,11 @@ def plcc(a, b) -> float:
 def rank_average(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        # positions i..j (0-based) hold one tie group
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    # a tie group of c values ending at 1-based position e spans e-c+1..e
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]
 
 
 def srcc(a, b) -> float:
@@ -149,8 +143,8 @@ class SignificanceResult:
     df: int
 
 
-def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
-    """Two-sided paired t-test on the differences a - b.
+def paired_t_test(a, b) -> SignificanceResult:
+    """Two-sided paired t-test on the differences a - b, at the 5% level.
 
     All-zero differences give t = 0, p = 1 (no evidence either way).
     Zero-variance nonzero differences give an infinite t and p = 0: the
@@ -173,7 +167,7 @@ def paired_t_test(a, b, alpha: float = 0.05) -> SignificanceResult:
     else:
         t = mean / (sd / math.sqrt(n))
         p = student_t_two_sided_p(t, n - 1)
-    return SignificanceResult(t_stat=t, p_value=p, significant=p < alpha, df=n - 1)
+    return SignificanceResult(t_stat=t, p_value=p, significant=p < 0.05, df=n - 1)
 
 
 @dataclass
@@ -181,12 +175,9 @@ class EvalReport:
     plcc: float
     srcc: float
     n: int
-    train_seconds: float | None = None
-    significance: SignificanceResult | None = None
 
 
-def evaluate(model: ModelBundle, table: FeatureTable, indices=None,
-             train_seconds: float | None = None) -> EvalReport:
+def evaluate(model: ModelBundle, table: FeatureTable, indices=None) -> EvalReport:
     """Score a trained model on (a subset of) a table."""
     if indices is None:
         feats = table.features
@@ -196,5 +187,4 @@ def evaluate(model: ModelBundle, table: FeatureTable, indices=None,
         feats = table.features[idx]
         y = table.scores[idx]
     preds = predict(model, feats)
-    return EvalReport(plcc=plcc(preds, y), srcc=srcc(preds, y), n=int(y.size),
-                      train_seconds=train_seconds)
+    return EvalReport(plcc=plcc(preds, y), srcc=srcc(preds, y), n=int(y.size))

@@ -219,12 +219,13 @@ def forward(net, x, want_cache: bool = True):
     for l, layer in enumerate(net.layers):
         u = np.tanh(cur) if squash else cur
         if wavelet:
-            val, d_x, d_scale, d_shift = eval_mexican_hat(
-                u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])
+            # d_shift is exactly -d_x, so backward derives it instead of caching it
+            val, d_x, d_scale = eval_mexican_hat(
+                u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])[:3]
             out = np.einsum("oi,noi->no", layer.coeffs[:, :, 0], val)
             if want_cache:
                 layer_data.append({"squashed": u if squash else None, "values": val,
-                                   "d_x": d_x, "d_scale": d_scale, "d_shift": d_shift})
+                                   "d_x": d_x, "d_scale": d_scale})
         else:
             val, dval = evaluate_basis(spec, u)
             out = val.reshape(n, -1) @ layer.coeffs.reshape(layer.out_dim, -1).T
@@ -266,7 +267,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             coeff_grad = np.einsum("no,noi->oi", grad, val)[:, :, None]
             common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
             scale_grad = np.einsum("noi,noi->oi", common, data["d_scale"])
-            shift_grad = np.einsum("noi,noi->oi", common, data["d_shift"])
+            shift_grad = -np.einsum("noi,noi->oi", common, data["d_x"])
             per_layer[l] = [coeff_grad, scale_grad, shift_grad]
             if l == 0:
                 break
@@ -344,14 +345,8 @@ class ModelBundle:
     meta: dict = field(default_factory=dict)
 
 
-def predict(model, features) -> np.ndarray:
-    """Raw-scale predictions for raw feature rows.
-
-    ``model`` may be a ModelBundle or a bare network (then features must
-    already be in network coordinates).
-    """
-    if not isinstance(model, ModelBundle):
-        model = ModelBundle(net=model)
+def predict(model: ModelBundle, features) -> np.ndarray:
+    """Raw-scale predictions for raw feature rows."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ShapeError(f"features must be 2-D [n, d], got ndim={f.ndim}")
@@ -385,9 +380,7 @@ def _block(arr, name: str) -> dict:
 
 
 def save_model(path, model: ModelBundle) -> None:
-    """Serialize a ModelBundle (or bare network wrapped in one) to JSON."""
-    if not isinstance(model, ModelBundle):
-        model = ModelBundle(net=model)
+    """Serialize a ModelBundle to JSON."""
     net = model.net
     doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
     if isinstance(net, MlpNetwork):

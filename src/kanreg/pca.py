@@ -68,25 +68,19 @@ def variance_ratio(eigenvalues, k: int) -> float:
     return float(w[:k].sum()) / total
 
 
-def select_k(eigenvalues, tau: float, d: int | None = None) -> int:
+def select_k(eigenvalues, tau: float) -> int:
     """Smallest k reaching the variance target, floored at 64, capped at d.
 
-    ``d`` defaults to the spectrum length (the usual case: one eigenvalue
-    per original feature dimension).
+    ``d`` is the spectrum length, one eigenvalue per original feature.
     """
     tau = _check_tau(tau)
     w = _clean_spectrum(eigenvalues)
-    if d is None:
-        d = w.size
-    elif d < 1:
-        raise ParameterError(f"dimension cap must be >= 1, got {d}")
     total = float(w.sum())
     if total <= 0.0:
         raise DegenerateDataError("all eigenvalues are zero; nothing to select")
     cum = np.cumsum(w)
     k_var = int(np.searchsorted(cum, tau * total, side="left")) + 1
-    k_var = min(k_var, w.size)
-    return min(d, max(k_var, K_FLOOR))
+    return min(w.size, max(k_var, K_FLOOR))
 
 
 def _orthonormal_completion(rows: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -109,12 +103,10 @@ def _orthonormal_completion(rows: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    out = components.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0.0:
-            out[i] = -out[i]
-    return out
+    """Flip each row whose largest-magnitude entry is negative."""
+    pivots = components[np.arange(components.shape[0]),
+                        np.argmax(np.abs(components), axis=1)]
+    return np.where((pivots < 0.0)[:, None], -components, components)
 
 
 def fit(features, tau: float) -> PcaModel:

@@ -41,9 +41,6 @@ class TrainConfig:
     batch_size: int = 128
     l1_penalty: float = 0.0
     seed: int = 0             # drives epoch shuffling only
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         # lr = 0 is legal (a zero step leaves parameters untouched)
@@ -57,8 +54,6 @@ class TrainConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.l1_penalty < 0.0:
             raise ParameterError(f"l1_penalty must be >= 0, got {self.l1_penalty}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError("Adam betas must lie in [0, 1)")
 
 
 @dataclass
@@ -122,6 +117,7 @@ class TrainResult:
     target_mean: float
     target_std: float
     learning_rate: float
+    val_predictions: np.ndarray   # raw-scale validation predictions at the best epoch
 
 
 def measure_time(fn, *args, **kwargs):
@@ -165,7 +161,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     best_val = math.inf
     best_epoch = 0
     # The first epoch always improves on best_val = inf (a non-finite val
-    # loss raises), so the snapshot is filled before it is restored.
+    # loss raises), so the snapshot and best_val_out are set before use.
     snapshot = [np.empty_like(p) for p in params]
     streak = 0
     train_curve: list[float] = []
@@ -195,8 +191,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
                 for g, p, pen in zip(grads.arrays, params, penalized):
                     if pen:
                         g += config.l1_penalty * np.sign(p)
-            adam_step(params, grads.arrays, state, lr,
-                      config.beta1, config.beta2, config.adam_epsilon)
+            adam_step(params, grads.arrays, state, lr)
             if clamp_scales:
                 for layer in net.layers:
                     np.maximum(layer.scales, _WAVELET_SCALE_FLOOR, out=layer.scales)
@@ -215,6 +210,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
+            best_val_out = val_out
             for s, p in zip(snapshot, params):
                 np.copyto(s, p)
             streak = 0
@@ -234,6 +230,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
         target_mean=t_mean,
         target_std=t_std,
         learning_rate=lr,
+        val_predictions=best_val_out * t_std + t_mean,
     )
 
 
@@ -265,10 +262,8 @@ def _run_trial(net_template, table, splits, config, lr):
     cfg = replace(config, learning_rate=lr)
     try:
         result = train(trial_net, table, splits, cfg)
-        x_val = table.features[splits.val]
+        pred = result.val_predictions
         y_val = table.scores[splits.val]
-        pred, _ = forward(trial_net, x_val, want_cache=False)
-        pred = pred * result.target_std + result.target_mean
         row = TrialRow(learning_rate=lr, plcc=plcc(pred, y_val), srcc=srcc(pred, y_val),
                        val_loss=result.best_val_loss, seconds=result.wall_seconds,
                        epochs=result.epochs_run)

@@ -8,8 +8,8 @@ import pytest
 from kanreg.basis import BasisSpec
 from kanreg import cli
 from kanreg.cli import REPORT_HEADER, main
-from kanreg.data import (Standardizer, fit_standardizer, make_synthetic,
-                         save_table, split)
+from kanreg.data import (FeatureTable, Standardizer, fit_standardizer,
+                         make_synthetic, save_table, split)
 from kanreg.linalg import Rng
 from kanreg.network import ModelBundle, init_network, save_model
 
@@ -76,6 +76,8 @@ class TestTrainCommand:
         assert rows[0].startswith("0.0001,")
         assert rows[1].startswith("0.001,")
         assert all(row.endswith(",ok") for row in rows)
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["config"]["lr_grid"] == [1e-4, 1e-3]
 
     def test_manifest_contents(self, small_csv, tmp_path):
         import hashlib
@@ -147,6 +149,17 @@ class TestTrainCommand:
     def test_invalid_tau_rejected(self, small_csv, tmp_path, capsys):
         assert main(_train_args(small_csv, str(tmp_path / "x"), tau="0.8")) == 1
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["train", "--lr-grid", "1e-3,x"],
+                                      ["pca", "--taus", "0.90,abc"],
+                                      ["sweep-order", "--orders", "1,x"]],
+                             ids=["lr-grid", "taus", "orders"])
+    def test_malformed_list_fails_before_the_output_directory(self, small_csv, tmp_path,
+                                                              capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--data", small_csv, "--out", str(out)]) == 1
+        assert argv[1] in capsys.readouterr().err
+        assert not out.exists()   # so no manifest.json either
 
     def test_missing_data_flag(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "x")]) == 1
@@ -452,6 +465,27 @@ class TestCompareCommand:
         assert fields[1] == "probe2"
         assert fields[8] == "true"
 
+    def test_same_mean_different_accuracy_is_significant(self, tmp_path):
+        # model a predicts the score exactly and model b adds centred noise:
+        # their predictions agree in mean, so only the errors separate them
+        scores = np.linspace(0.0, 100.0, 60)
+        noise = np.random.default_rng(3).normal(size=60)
+        noise -= noise.mean()
+        data = tmp_path / "t.csv"
+        save_table(FeatureTable("t", np.column_stack([scores, noise]), scores), data)
+        model_a = tmp_path / "a.json"
+        model_b = tmp_path / "b.json"
+        save_model(model_a, _linear_probe_bundle(2, 1.0, 0.0))
+        noisy = _linear_probe_bundle(2, 1.0, 0.0)
+        noisy.net.layers[0].coeffs[0, 1, 1] = 1.0
+        save_model(model_b, noisy)
+        out = tmp_path / "run"
+        assert main(["compare", "--data", str(data), "--model-a", str(model_a),
+                     "--model-b", str(model_b), "--out", str(out)]) == 0
+        fields = _rows(out / "compare.csv")[1][0].split(",")
+        assert float(fields[6]) < 0.0      # model a has the smaller errors
+        assert fields[8] == "true"
+
     def test_test_split_defaults_to_training_seed(self, small_csv, tmp_path, capsys):
         # seeds 7 and 42 (the CLI default) give different test rows
         assert list(split(60, 7).test) != list(split(60, 42).test)
@@ -503,7 +537,6 @@ class TestHistCommand:
         assert sum(int(r.split(",")[2]) for r in rows) == 60
 
     def test_evenly_spread_scores_fill_evenly(self, tmp_path):
-        from kanreg.data import FeatureTable
         table = FeatureTable("flat", np.zeros((500, 1)),
                              np.linspace(0.0, 100.0, 500))
         path = tmp_path / "flat.csv"
@@ -515,7 +548,6 @@ class TestHistCommand:
         assert counts == [50] * 10
 
     def test_uniform_random_scores_roughly_flat(self, tmp_path):
-        from kanreg.data import FeatureTable
         rng = Rng(12)
         scores = 100.0 * rng.uniforms(2000)
         table = FeatureTable("u", np.zeros((2000, 1)), scores)

@@ -244,7 +244,7 @@ class TestStandardizer:
         assert std.stds[0] == 0.0
 
     def test_accepts_feature_table(self):
-        std = fit_standardizer(_tiny_table(), indices=[0, 1, 2])
+        std = fit_standardizer(_tiny_table().features, indices=[0, 1, 2])
         np.testing.assert_allclose(std.means, [3.0, 4.0])
 
     def test_dim_mismatch(self):

@@ -45,6 +45,12 @@ def _oracle_midranks(v):
     return ((starts + ends) / 2.0)[inverse]
 
 
+def _brute_force_midranks(v):
+    """rank(x) = #(v < x) + (#(v == x) + 1) / 2, one value at a time."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.array([np.sum(v < x) + (np.sum(v == x) + 1) / 2.0 for x in v])
+
+
 class TestPlcc:
     def test_positive_affine(self):
         assert plcc([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
@@ -111,6 +117,14 @@ class TestRankAverage:
         rng = np.random.default_rng(11)
         v = rng.integers(0, 8, size=60).astype(np.float64)
         np.testing.assert_array_equal(rank_average(v), _oracle_midranks(v))
+
+    def test_matches_brute_force_definition(self):
+        rng = np.random.default_rng(53)
+        for n in (1, 2, 7, 60, 301):
+            heavy_ties = rng.integers(-3, 4, size=n).astype(np.float64)
+            signed_zeros = rng.choice([-0.0, 0.0, 1.0, -2.5], size=n)
+            for v in (heavy_ties, signed_zeros, rng.normal(size=n)):
+                np.testing.assert_array_equal(rank_average(v), _brute_force_midranks(v))
 
     def test_ranks_sum_preserved(self):
         # midranking redistributes positions without changing their sum
@@ -277,11 +291,6 @@ class TestPairedTTest:
         assert got.t_stat == pytest.approx(2.262, abs=1e-12)
         assert got.p_value == pytest.approx(0.05, abs=1e-3)
 
-    def test_alpha_threshold(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        strict = paired_t_test(a, np.zeros(5), alpha=1e-6)
-        assert not strict.significant
-
 
 def _passthrough_bundle(d):
     """Bundle whose prediction is exactly the first input feature."""
@@ -320,11 +329,3 @@ class TestEvaluate:
         rb = evaluate(bundle, five)
         assert ra.plcc == pytest.approx(rb.plcc, abs=1e-12)
         assert ra.srcc == pytest.approx(rb.srcc, abs=1e-12)
-
-    def test_train_seconds_passthrough(self):
-        rng = np.random.default_rng(43)
-        feats = rng.normal(size=(10, 2))
-        table = FeatureTable("t", feats, feats[:, 0])
-        report = evaluate(_passthrough_bundle(2), table, train_seconds=12.5)
-        assert report.train_seconds == 12.5
-        assert report.significance is None

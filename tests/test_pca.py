@@ -29,13 +29,6 @@ class TestSelectK:
     def test_floor_value(self):
         assert K_FLOOR == 64
 
-    def test_explicit_dimension_cap(self):
-        # the cap may be passed alongside a truncated spectrum
-        assert select_k([1.0] * 5, 0.95, 2048) == 64
-        assert select_k([1.0] * 5, 0.95, 10) == 10
-        with pytest.raises(ParameterError):
-            select_k([1.0] * 5, 0.95, 0)
-
     def test_all_zero_spectrum(self):
         with pytest.raises(DegenerateDataError):
             select_k([0.0, 0.0, 0.0], 0.95)

@@ -76,8 +76,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ParameterError):
             TrainConfig(l1_penalty=-0.1)
-        with pytest.raises(ParameterError):
-            TrainConfig(beta1=1.0)
 
 
 class TestAdam:
