@@ -15,14 +15,14 @@ learned coefficients:
 
 The ninth, ``wavelet_mexican_hat``, has a single learned amplitude per edge
 plus learnable per-edge scale and shift of the mother wavelet; it is
-evaluated through :func:`eval_mexican_hat` which also returns the partial
-derivatives needed for training.
+evaluated through :func:`mexican_hat`.
 
-Every evaluator returns ``(values, d_values)`` where both arrays have the
-input's shape plus a trailing basis axis, and ``d_values`` is the exact
-analytic derivative with respect to the input. The bounded-domain families
-(see :data:`SQUASHED_FAMILIES`) expect inputs in [-1, 1]; network layers
-guarantee this by passing their inputs through tanh first.
+Both entry points, :func:`evaluate_basis` and :func:`mexican_hat`, return
+``(values, derivative)``. ``derivative()`` builds the exact analytic
+derivatives from arrays that same call made, so a caller that never asks
+(inference, or a layer whose input gradient is not needed) pays nothing.
+The bounded-domain families (see :data:`SQUASHED_FAMILIES`) expect inputs in
+[-1, 1]; network layers guarantee this by passing their inputs through tanh.
 """
 
 from __future__ import annotations
@@ -216,50 +216,46 @@ def basis_size(spec: BasisSpec) -> int:
     return 1  # wavelet_mexican_hat: one amplitude per edge
 
 
-def _prep(x) -> tuple[np.ndarray, tuple[int, ...]]:
-    xa = np.asarray(x, dtype=np.float64)
-    return xa.reshape(-1), xa.shape
+# Kernels: (flat float64 x, validated spec) -> (values [m, b], derivative).
+
+def _appell_derivative(vals: np.ndarray):
+    """d/dx of a sequence with p_j' = j p_{j-1} (monomials, Hermite)."""
+    def derivative():
+        d = np.zeros_like(vals)
+        for j in range(1, vals.shape[1]):
+            d[:, j] = j * vals[:, j - 1]
+        return d
+    return derivative
 
 
-def eval_taylor(x, order: int, center: float = 0.0):
-    """Monomials ``(x - center)^j`` for j = 0..order and their derivatives."""
-    if order < 0:
-        raise ParameterError(f"taylor order must be >= 0, got {order}")
-    xf, shape = _prep(x)
-    u = xf - center
-    b = order + 1
-    vals = np.empty((xf.size, b))
-    d = np.zeros((xf.size, b))
+def _taylor(xf: np.ndarray, spec: BasisSpec):
+    """Monomials ``(x - center)^j`` for j = 0..order."""
+    u = xf - spec.center
+    vals = np.empty((xf.size, spec.order + 1))
     vals[:, 0] = 1.0
-    for j in range(1, b):
+    for j in range(1, spec.order + 1):
         vals[:, j] = vals[:, j - 1] * u
-        d[:, j] = j * vals[:, j - 1]
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+    return vals, _appell_derivative(vals)
 
 
-def eval_chebyshev(x, n_max: int):
+def _chebyshev(xf: np.ndarray, spec: BasisSpec):
     """T_0..T_n of the first kind; dT_n/dx = n U_{n-1} via the second kind."""
-    if n_max < 0:
-        raise ParameterError(f"chebyshev degree must be >= 0, got {n_max}")
-    xf, shape = _prep(x)
-    b = n_max + 1
-    vals = np.empty((xf.size, b))
-    d = np.zeros((xf.size, b))
-    vals[:, 0] = 1.0
-    if n_max >= 1:
-        vals[:, 1] = xf
-        d[:, 1] = 1.0
-        for n in range(2, b):
-            vals[:, n] = 2.0 * xf * vals[:, n - 1] - vals[:, n - 2]
-    if n_max >= 2:
-        u = np.empty((xf.size, n_max))  # U_0..U_{n_max-1}
-        u[:, 0] = 1.0
-        u[:, 1] = 2.0 * xf
-        for n in range(2, n_max):
-            u[:, n] = 2.0 * xf * u[:, n - 1] - u[:, n - 2]
-        for n in range(2, b):
-            d[:, n] = n * u[:, n - 1]
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+    b = spec.n_max + 1
+
+    def table(p1: np.ndarray, size: int) -> np.ndarray:
+        """p_0 = 1, p_1 = p1, p_n = 2x p_{n-1} - p_{n-2}, for n < size."""
+        p = np.empty((xf.size, size))
+        p[:, :1] = 1.0
+        p[:, 1:2] = p1[:, None]
+        for n in range(2, size):
+            p[:, n] = 2.0 * xf * p[:, n - 1] - p[:, n - 2]
+        return p
+
+    def derivative():
+        d = np.zeros((xf.size, b))
+        d[:, 1:] = np.arange(1, b) * table(2.0 * xf, b - 1)
+        return d
+    return table(xf, b), derivative
 
 
 def _jacobi_table(xf: np.ndarray, n_max: int, alpha: float, beta: float) -> np.ndarray:
@@ -278,78 +274,51 @@ def _jacobi_table(xf: np.ndarray, n_max: int, alpha: float, beta: float) -> np.n
     return p
 
 
-def eval_jacobi(x, n_max: int, alpha: float, beta: float):
+def _jacobi(xf: np.ndarray, spec: BasisSpec):
     """Jacobi polynomials; dP_n/dx = ((n + a + b + 1)/2) P_{n-1}^(a+1, b+1)."""
-    if n_max < 0:
-        raise ParameterError(f"jacobi degree must be >= 0, got {n_max}")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ParameterError(f"jacobi requires alpha > -1 and beta > -1, got {alpha}, {beta}")
-    xf, shape = _prep(x)
+    n_max, alpha, beta = spec.n_max, spec.alpha, spec.beta
     b = n_max + 1
-    vals = _jacobi_table(xf, n_max, alpha, beta)
-    d = np.zeros((xf.size, b))
-    if n_max >= 1:
-        shifted = _jacobi_table(xf, n_max - 1, alpha + 1.0, beta + 1.0)
-        for n in range(1, b):
-            d[:, n] = 0.5 * (n + alpha + beta + 1.0) * shifted[:, n - 1]
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+
+    def derivative():
+        d = np.zeros((xf.size, b))
+        if n_max >= 1:
+            shifted = _jacobi_table(xf, n_max - 1, alpha + 1.0, beta + 1.0)
+            for n in range(1, b):
+                d[:, n] = 0.5 * (n + alpha + beta + 1.0) * shifted[:, n - 1]
+        return d
+    return _jacobi_table(xf, n_max, alpha, beta), derivative
 
 
-def eval_hermite(x, n_max: int):
+def _hermite(xf: np.ndarray, spec: BasisSpec):
     """Probabilists' Hermite He_0..He_n; dHe_n/dx = n He_{n-1}."""
-    if n_max < 0:
-        raise ParameterError(f"hermite degree must be >= 0, got {n_max}")
-    xf, shape = _prep(x)
-    b = n_max + 1
-    vals = np.empty((xf.size, b))
-    d = np.zeros((xf.size, b))
+    vals = np.empty((xf.size, spec.n_max + 1))
     vals[:, 0] = 1.0
-    if n_max >= 1:
+    if spec.n_max >= 1:
         vals[:, 1] = xf
-        d[:, 1] = 1.0
-    for n in range(2, b):
+    for n in range(2, spec.n_max + 1):
         vals[:, n] = xf * vals[:, n - 1] - (n - 1) * vals[:, n - 2]
-        d[:, n] = n * vals[:, n - 1]
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+    return vals, _appell_derivative(vals)
 
 
-def eval_gaussian_rbf(x, centers, bandwidth: float):
+def _gaussian_rbf(xf: np.ndarray, spec: BasisSpec):
     """Gaussian bumps exp(-u^2), u = (x - c)/h, one per center."""
-    if not bandwidth > 0.0:
-        raise ParameterError(f"gaussian_rbf bandwidth must be positive, got {bandwidth}")
-    c = np.asarray(centers, dtype=np.float64).reshape(-1)
-    if c.size < 1:
-        raise ParameterError("gaussian_rbf needs at least one center")
-    xf, shape = _prep(x)
-    u = (xf[:, None] - c[None, :]) / bandwidth
+    u = (xf[:, None] - np.array(spec.centers)) / spec.bandwidth
     vals = np.exp(-u * u)
-    d = (-2.0 / bandwidth) * u * vals
-    b = c.size
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+    return vals, lambda: (-2.0 / spec.bandwidth) * u * vals
 
 
-def _bspline_knots(grid_size: int, degree: int) -> np.ndarray:
-    h = 2.0 / grid_size
-    return (np.arange(grid_size + 2 * degree + 1) - degree) * h - 1.0
-
-
-def eval_bspline(x, grid_size: int, degree: int):
-    """Uniform B-spline basis on [-1, 1] (Cox-de Boor) with derivatives.
+def _bspline(xf: np.ndarray, spec: BasisSpec):
+    """Uniform B-spline basis on [-1, 1] (Cox-de Boor).
 
     The knot grid has ``grid_size`` interior cells extended by ``degree``
     cells on each side, giving ``grid_size + degree`` basis functions that
     sum to one on the whole interval. Inputs are assigned to interior cells
     (the top edge is right-closed), so evaluation stays stable at x = 1.
     """
-    if degree < 0:
-        raise ParameterError(f"bspline degree must be >= 0, got {degree}")
-    if grid_size < degree + 1:
-        raise ParameterError(
-            f"bspline grid_size must be >= degree + 1, got grid_size={grid_size} degree={degree}")
-    xf, shape = _prep(x)
-    t = _bspline_knots(grid_size, degree)
-    m = t.size
+    grid_size, degree = spec.grid_size, spec.degree
     h = 2.0 / grid_size
+    t = (np.arange(grid_size + 2 * degree + 1) - degree) * h - 1.0
+    m = t.size
     cell = np.floor((xf + 1.0) / h).astype(np.int64) + degree
     cell = np.clip(cell, degree, degree + grid_size - 1)
     level = np.zeros((xf.size, m - 1))
@@ -367,89 +336,104 @@ def eval_bspline(x, grid_size: int, degree: int):
             + ((tk1 - xcol) / (tk1 - t1)) * low[:, 1:width + 1]
     b = grid_size + degree
     vals = prev[:, :b]
-    if degree == 0:
-        d = np.zeros_like(vals)
-    else:
+
+    def derivative():
+        if degree == 0:
+            return np.zeros_like(vals)
         p = degree
-        d = p * (low[:, :b] / (t[p:p + b] - t[:b])
-                 - low[:, 1:b + 1] / (t[p + 1:p + 1 + b] - t[1:b + 1]))
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+        return p * (low[:, :b] / (t[p:p + b] - t[:b])
+                    - low[:, 1:b + 1] / (t[p + 1:p + 1 + b] - t[1:b + 1]))
+    return vals, derivative
 
 
-def eval_bsrbf(x, spec: BasisSpec):
-    """Concatenated bspline and gaussian_rbf blocks of a bsrbf spec."""
-    if spec.family != "bsrbf":
-        raise ParameterError(f"eval_bsrbf needs a bsrbf spec, got {spec.family!r}")
-    sv, sd = eval_bspline(x, spec.spline_part.grid_size, spec.spline_part.degree)
-    rv, rd = eval_gaussian_rbf(x, spec.rbf_part.centers, spec.rbf_part.bandwidth)
-    return np.concatenate([sv, rv], axis=-1), np.concatenate([sd, rd], axis=-1)
+def _bsrbf(xf: np.ndarray, spec: BasisSpec):
+    """Concatenated bspline and gaussian_rbf blocks."""
+    sv, sd = _bspline(xf, spec.spline_part)
+    rv, rd = _gaussian_rbf(xf, spec.rbf_part)
+    return np.concatenate([sv, rv], axis=1), lambda: np.concatenate([sd(), rd()], axis=1)
 
 
-def eval_fourier(x, n_harmonics: int):
+def _fourier(xf: np.ndarray, spec: BasisSpec):
     """[1, cos(pi x), sin(pi x), ..., cos(N pi x), sin(N pi x)]."""
-    if n_harmonics < 0:
-        raise ParameterError(f"fourier harmonics must be >= 0, got {n_harmonics}")
-    xf, shape = _prep(x)
+    n_harmonics = spec.n_harmonics
     b = 2 * n_harmonics + 1
     vals = np.empty((xf.size, b))
-    d = np.zeros((xf.size, b))
     vals[:, 0] = 1.0
     for n in range(1, n_harmonics + 1):
-        w = n * np.pi
-        ang = w * xf
-        c = np.cos(ang)
-        s = np.sin(ang)
-        vals[:, 2 * n - 1] = c
-        vals[:, 2 * n] = s
-        d[:, 2 * n - 1] = -w * s
-        d[:, 2 * n] = w * c
-    return vals.reshape(shape + (b,)), d.reshape(shape + (b,))
+        ang = n * np.pi * xf
+        vals[:, 2 * n - 1] = np.cos(ang)
+        vals[:, 2 * n] = np.sin(ang)
+
+    def derivative():
+        d = np.zeros((xf.size, b))
+        for n in range(1, n_harmonics + 1):
+            w = n * np.pi
+            d[:, 2 * n - 1] = -w * vals[:, 2 * n]
+            d[:, 2 * n] = w * vals[:, 2 * n - 1]
+        return d
+    return vals, derivative
 
 
-def eval_mexican_hat(x, scale, shift):
-    """Scaled/shifted Mexican hat wavelet with all training derivatives.
+_KERNELS = {
+    "taylor": _taylor,
+    "chebyshev": _chebyshev,
+    "jacobi": _jacobi,
+    "hermite": _hermite,
+    "gaussian_rbf": _gaussian_rbf,
+    "bspline": _bspline,
+    "bsrbf": _bsrbf,
+    "fourier": _fourier,
+}
+
+
+def evaluate_basis(spec: BasisSpec, x):
+    """Basis values of ``spec`` at ``x`` and a function that builds d/dx.
+
+    Returns ``(values, derivative)``: values has shape ``x.shape + (b,)``
+    and ``derivative()`` returns the exact analytic input derivative in the
+    same shape, built from ``x`` and the arrays this call made (so change
+    ``x`` in place only after calling it). ``wavelet_mexican_hat`` is
+    not a coefficient family (its parameters live on network edges); use
+    :func:`mexican_hat` for it.
+    """
+    kernel = _KERNELS.get(spec.family)
+    if kernel is None:
+        raise ParameterError(
+            f"{spec.family!r} has no fixed basis vector; evaluate it per edge instead")
+    xa = np.asarray(x, dtype=np.float64)
+    vals, derivative = kernel(xa.reshape(-1), spec)
+    shape = xa.shape + (vals.shape[1],)
+    return vals.reshape(shape), lambda: derivative().reshape(shape)
+
+
+def mexican_hat(x, scale, shift):
+    """Scaled/shifted Mexican hat wavelet and a function for its derivatives.
 
     psi(u) = (2 / sqrt(3 sqrt(pi))) (1 - u^2) exp(-u^2 / 2) and the family
-    member is psi_{s,t}(x) = s^{-1/2} psi((x - t)/s). Returns
-    ``(value, d_x, d_scale, d_shift)``, broadcasting over all inputs.
+    member is psi_{s,t}(x) = s^{-1/2} psi((x - t)/s), broadcast over all
+    inputs. Returns ``(value, derivatives)``; ``derivatives()`` returns
+    ``(d_x, d_scale)`` (d/d_shift is ``-d_x``) and reads only arrays made
+    by this call, so later in-place updates of ``scale`` do not reach it.
     """
     xa = np.asarray(x, dtype=np.float64)
-    s = np.asarray(scale, dtype=np.float64)
+    s = np.array(scale, dtype=np.float64)
     t = np.asarray(shift, dtype=np.float64)
     if np.any(s <= 0.0):
         raise ParameterError("wavelet scale must be positive")
     u = (xa - t) / s
     e = np.exp(-0.5 * u * u)
     psi = MEXICAN_HAT_PEAK * (1.0 - u * u) * e
-    dpsi = MEXICAN_HAT_PEAK * e * (u ** 3 - 3.0 * u)
     inv_sqrt_s = 1.0 / np.sqrt(s)
-    value = inv_sqrt_s * psi
-    d_x = inv_sqrt_s * dpsi / s
-    d_shift = -d_x
-    d_scale = -(inv_sqrt_s / s) * (0.5 * psi + u * dpsi)
-    return value, d_x, d_scale, d_shift
+
+    def derivatives():
+        dpsi = MEXICAN_HAT_PEAK * e * (u ** 3 - 3.0 * u)
+        d_x = inv_sqrt_s * dpsi / s
+        return d_x, -(inv_sqrt_s / s) * (0.5 * psi + u * dpsi)
+    return inv_sqrt_s * psi, derivatives
 
 
-_COEFF_EVALUATORS = {
-    "taylor": lambda x, s: eval_taylor(x, s.order, s.center),
-    "chebyshev": lambda x, s: eval_chebyshev(x, s.n_max),
-    "jacobi": lambda x, s: eval_jacobi(x, s.n_max, s.alpha, s.beta),
-    "hermite": lambda x, s: eval_hermite(x, s.n_max),
-    "gaussian_rbf": lambda x, s: eval_gaussian_rbf(x, s.centers, s.bandwidth),
-    "bspline": lambda x, s: eval_bspline(x, s.grid_size, s.degree),
-    "bsrbf": lambda x, s: eval_bsrbf(x, s),
-    "fourier": lambda x, s: eval_fourier(x, s.n_harmonics),
-}
-
-
-def evaluate_basis(spec: BasisSpec, x):
-    """Dispatch to the coefficient-family evaluator for ``spec``.
-
-    ``wavelet_mexican_hat`` is not a coefficient family (its parameters live
-    on network edges); use :func:`eval_mexican_hat` for it.
-    """
-    fn = _COEFF_EVALUATORS.get(spec.family)
-    if fn is None:
-        raise ParameterError(
-            f"{spec.family!r} has no fixed basis vector; evaluate it per edge instead")
-    return fn(x, spec)
+def eval_mexican_hat(x, scale, shift):
+    """``(value, d_x, d_scale, d_shift)`` of :func:`mexican_hat`, built at once."""
+    value, derivatives = mexican_hat(x, scale, shift)
+    d_x, d_scale = derivatives()
+    return value, d_x, d_scale, -d_x

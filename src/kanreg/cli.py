@@ -84,9 +84,12 @@ _FLAGS = {
     "bins": (int, 100, None, None),
 }
 
-# The list-valued flags, parsed by _resolve so that a malformed list fails
-# before the output directory is made: key -> converter of one entry.
-_LIST_FLAGS = {"lr_grid": float, "taus": float, "orders": int}
+# The list-valued flags, parsed by _resolve so that a malformed or out-of-range
+# list fails before the output directory is made: key -> (converter of one
+# entry, range test, the range in words).
+_LIST_FLAGS = {"lr_grid": (float, lambda v: v > 0.0, "positive"),
+               "taus": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+               "orders": (int, lambda v: v >= 0, ">= 0")}
 
 _COMMON_KEYS = ("data", "format", "seed", "out", "timing")
 _TRAIN_KEYS = _COMMON_KEYS + (
@@ -159,15 +162,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             f"--tau must be one of 0.90, 0.95, 1.0; got {resolved['tau']}")
     if "basis" in resolved and resolved["basis"] == "wavelet":
         resolved["basis"] = "wavelet_mexican_hat"
-    for key, convert in _LIST_FLAGS.items():
+    for key, rule in _LIST_FLAGS.items():
         if key == "lr_grid" and resolved.get(key) == "default":
             resolved[key] = DEFAULT_LR_GRID
         elif key in resolved:
-            resolved[key] = _parse_list(resolved[key], "--" + key.replace("_", "-"), convert)
+            resolved[key] = _parse_list(resolved[key], "--" + key.replace("_", "-"), rule)
     return resolved
 
 
-def _parse_list(text: str, flag: str, convert) -> tuple:
+def _parse_list(text: str, flag: str, rule) -> tuple:
+    convert, in_range, range_words = rule
     try:
         values = tuple(convert(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -175,6 +179,9 @@ def _parse_list(text: str, flag: str, convert) -> tuple:
         raise ParameterError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
     if not values:
         raise ParameterError(f"{flag} must not be empty")
+    bad = [v for v in values if not in_range(v)]
+    if bad:
+        raise ParameterError(f"{flag} entries must be {range_words}, got {bad[0]}")
     return values
 
 

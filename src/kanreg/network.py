@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, basis_size, eval_mexican_hat, evaluate_basis
+from .basis import BasisSpec, basis_size, evaluate_basis, mexican_hat
 from .errors import (ContractError, FormatError, NumericError, ParameterError,
                      ParseError, ShapeError, UnsupportedVersionError)
 from .linalg import Rng
@@ -209,7 +209,6 @@ def forward(net, x, want_cache: bool = True):
         return mlp_forward(net, x, want_cache)
     spec = net.spec
     squash = spec.squashes_input()
-    wavelet = spec.family == "wavelet_mexican_hat"
     if net.layers[-1].out_dim != 1:
         raise ShapeError(
             f"forward needs a scalar-output network, got out_dim={net.layers[-1].out_dim}")
@@ -218,22 +217,18 @@ def forward(net, x, want_cache: bool = True):
     layer_data: list[dict] = []
     for l, layer in enumerate(net.layers):
         u = np.tanh(cur) if squash else cur
-        if wavelet:
-            # d_shift is exactly -d_x, so backward derives it instead of caching it
-            val, d_x, d_scale = eval_mexican_hat(
-                u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])[:3]
+        if layer.scales is not None:  # wavelet
+            val, derivatives = mexican_hat(
+                u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])
             out = np.einsum("oi,noi->no", layer.coeffs[:, :, 0], val)
-            if want_cache:
-                layer_data.append({"squashed": u if squash else None, "values": val,
-                                   "d_x": d_x, "d_scale": d_scale})
         else:
-            val, dval = evaluate_basis(spec, u)
+            val, derivatives = evaluate_basis(spec, u)
             out = val.reshape(n, -1) @ layer.coeffs.reshape(layer.out_dim, -1).T
-            if want_cache:
-                layer_data.append({"squashed": u if squash else None,
-                                   "values": val, "d_values": dval})
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite activation in forward pass", layer=l)
+        if want_cache:  # backward calls derivatives() only for layers it differentiates
+            layer_data.append({"squashed": u if squash else None, "values": val,
+                               "derivatives": derivatives})
         cur = out
     cache = ForwardCache(net=net, n=n, layer_data=layer_data) if want_cache else None
     return cur[:, 0], cache
@@ -264,14 +259,15 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         data = cache.layer_data[l]
         val = data["values"]
         if layer.scales is not None:  # wavelet
+            d_x, d_scale = data["derivatives"]()
             coeff_grad = np.einsum("no,noi->oi", grad, val)[:, :, None]
             common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
-            scale_grad = np.einsum("noi,noi->oi", common, data["d_scale"])
-            shift_grad = -np.einsum("noi,noi->oi", common, data["d_x"])
+            scale_grad = np.einsum("noi,noi->oi", common, d_scale)
+            shift_grad = -np.einsum("noi,noi->oi", common, d_x)  # d_shift = -d_x
             per_layer[l] = [coeff_grad, scale_grad, shift_grad]
             if l == 0:
                 break
-            du = np.einsum("noi,noi->ni", common, data["d_x"])
+            du = np.einsum("noi,noi->ni", common, d_x)
         else:
             n = val.shape[0]
             coeff_grad = (grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)
@@ -279,7 +275,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             if l == 0:
                 break
             p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
-            du = np.sum(p * data["d_values"], axis=-1)
+            du = np.sum(p * data["derivatives"](), axis=-1)
         if squash:
             u = data["squashed"]
             grad = du * (1.0 - u * u)

@@ -18,20 +18,18 @@ from kanreg.basis import (
     SQUASHED_FAMILIES,
     BasisSpec,
     basis_size,
-    eval_bspline,
-    eval_bsrbf,
-    eval_chebyshev,
-    eval_fourier,
-    eval_gaussian_rbf,
-    eval_hermite,
-    eval_jacobi,
     eval_mexican_hat,
-    eval_taylor,
     evaluate_basis,
 )
 from kanreg.errors import ParameterError
 
 _FD_STEP = 1e-5
+
+
+def _eval(spec, x):
+    """Values and input derivative of a coefficient family, both built now."""
+    vals, derivative = evaluate_basis(spec, x)
+    return vals, derivative()
 
 
 def _fd_close(fd, ana, rtol=1e-5, atol=1e-8):
@@ -55,21 +53,21 @@ def _check_input_derivative(fn, xs):
 
 class TestTaylor:
     def test_expansion_point(self):
-        vals, _ = eval_taylor(0.0, 2, 0.0)
+        vals, _ = _eval(BasisSpec.taylor(2, 0.0), 0.0)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
 
     def test_monomial_oracle(self):
-        vals, d = eval_taylor(1.0, 2, 0.0)
+        vals, d = _eval(BasisSpec.taylor(2, 0.0), 1.0)
         np.testing.assert_array_equal(vals, [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(d, [0.0, 1.0, 2.0])
 
     def test_shift_symmetry(self):
-        vals, _ = eval_taylor(0.5, 4, 0.5)
+        vals, _ = _eval(BasisSpec.taylor(4, 0.5), 0.5)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_matches_power_oracle(self):
         xs = np.linspace(-2.0, 2.0, 9)
-        vals, d = eval_taylor(xs, 5, 0.25)
+        vals, d = _eval(BasisSpec.taylor(5, 0.25), xs)
         u = xs - 0.25
         for j in range(6):
             np.testing.assert_allclose(vals[:, j], u**j, atol=1e-12)
@@ -78,20 +76,20 @@ class TestTaylor:
 
     def test_negative_order_rejected(self):
         with pytest.raises(ParameterError):
-            eval_taylor(0.0, -1)
+            _eval(BasisSpec.taylor(-1), 0.0)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_taylor(x, 4, 0.1),
+        _check_input_derivative(lambda x: _eval(BasisSpec.taylor(4, 0.1), x),
                                 np.linspace(-1.5, 1.5, 100))
 
 
 class TestChebyshev:
     def test_t0_is_one(self):
-        vals, _ = eval_chebyshev(0.7, 0)
+        vals, _ = _eval(BasisSpec.chebyshev(0), 0.7)
         np.testing.assert_array_equal(vals, [1.0])
 
     def test_t2_closed_form(self):
-        vals, _ = eval_chebyshev(0.5, 2)
+        vals, _ = _eval(BasisSpec.chebyshev(2), 0.5)
         assert vals[2] == pytest.approx(math.cos(2.0 * math.acos(0.5)), abs=1e-14)
         assert vals[2] == pytest.approx(-0.5, abs=1e-14)
 
@@ -99,23 +97,23 @@ class TestChebyshev:
         # T_n(cos t) = cos(n t): the defining identity, evaluated directly
         rng = np.random.default_rng(0)
         xs = rng.uniform(-0.999, 0.999, size=100)
-        vals, _ = eval_chebyshev(xs, 8)
+        vals, _ = _eval(BasisSpec.chebyshev(8), xs)
         for n in range(9):
             oracle = np.cos(n * np.arccos(xs))
             np.testing.assert_allclose(vals[:, n], oracle, atol=1e-10, rtol=0.0)
 
     def test_bounded_on_domain(self):
         xs = np.linspace(-1.0, 1.0, 501)
-        vals, _ = eval_chebyshev(xs, 8)
+        vals, _ = _eval(BasisSpec.chebyshev(8), xs)
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
     def test_derivative_endpoint_identity(self):
         # dT_n/dx at x=1 equals n^2
-        _, d = eval_chebyshev(1.0, 6)
+        _, d = _eval(BasisSpec.chebyshev(6), 1.0)
         np.testing.assert_allclose(d, [n * n for n in range(7)], atol=1e-10)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_chebyshev(x, 8),
+        _check_input_derivative(lambda x: _eval(BasisSpec.chebyshev(8), x),
                                 np.random.default_rng(1).uniform(-0.99, 0.99, 100))
 
 
@@ -132,24 +130,24 @@ def _legendre_table(xs, n_max):
 
 class TestJacobi:
     def test_p0_constant(self):
-        vals, _ = eval_jacobi(0.3, 0, 1.5, -0.5)
+        vals, _ = _eval(BasisSpec.jacobi(0, 1.5, -0.5), 0.3)
         np.testing.assert_array_equal(vals, [1.0])
 
     def test_p1_legendre_case(self):
-        vals, _ = eval_jacobi(0.5, 1, 0.0, 0.0)
+        vals, _ = _eval(BasisSpec.jacobi(1, 0.0, 0.0), 0.5)
         assert vals[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_legendre_oracle(self):
         xs = np.random.default_rng(2).uniform(-1.0, 1.0, size=100)
-        vals, _ = eval_jacobi(xs, 6, 0.0, 0.0)
+        vals, _ = _eval(BasisSpec.jacobi(6, 0.0, 0.0), xs)
         np.testing.assert_allclose(vals, _legendre_table(xs, 6), atol=1e-9, rtol=0.0)
 
     def test_proportional_to_chebyshev_at_minus_half(self):
         # alpha = beta = -1/2 gives first-kind Chebyshev up to a per-degree
         # constant; the ratio must not depend on x
         xs = np.random.default_rng(3).uniform(-0.9, 0.9, size=50)
-        jv, _ = eval_jacobi(xs, 5, -0.5, -0.5)
-        cv, _ = eval_chebyshev(xs, 5)
+        jv, _ = _eval(BasisSpec.jacobi(5, -0.5, -0.5), xs)
+        cv, _ = _eval(BasisSpec.chebyshev(5), xs)
         for n in range(1, 6):
             ratio = jv[:, n] / cv[:, n]
             np.testing.assert_allclose(ratio, ratio[0], atol=1e-9)
@@ -157,20 +155,20 @@ class TestJacobi:
     def test_derivative_shift_identity(self):
         # dP_n^(a,b)/dx = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1)
         xs = np.linspace(-0.8, 0.8, 7)
-        _, d = eval_jacobi(xs, 4, 0.7, 1.3)
-        shifted, _ = eval_jacobi(xs, 3, 1.7, 2.3)
+        _, d = _eval(BasisSpec.jacobi(4, 0.7, 1.3), xs)
+        shifted, _ = _eval(BasisSpec.jacobi(3, 1.7, 2.3), xs)
         for n in range(1, 5):
             expect = 0.5 * (n + 0.7 + 1.3 + 1.0) * shifted[:, n - 1]
             np.testing.assert_allclose(d[:, n], expect, atol=1e-12)
 
     def test_invalid_alpha_beta(self):
         with pytest.raises(ParameterError):
-            eval_jacobi(0.0, 3, -1.0, 0.0)
+            _eval(BasisSpec.jacobi(3, -1.0, 0.0), 0.0)
         with pytest.raises(ParameterError):
-            eval_jacobi(0.0, 3, 0.0, -1.5)
+            _eval(BasisSpec.jacobi(3, 0.0, -1.5), 0.0)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_jacobi(x, 5, 0.4, 2.0),
+        _check_input_derivative(lambda x: _eval(BasisSpec.jacobi(5, 0.4, 2.0), x),
                                 np.random.default_rng(4).uniform(-0.95, 0.95, 100))
 
 
@@ -187,27 +185,27 @@ _HERMITE_SYMBOLIC = [
 
 class TestHermite:
     def test_h0(self):
-        vals, _ = eval_hermite(123.0, 0)
+        vals, _ = _eval(BasisSpec.hermite(0), 123.0)
         np.testing.assert_array_equal(vals, [1.0])
 
     def test_h2_at_zero(self):
-        vals, _ = eval_hermite(0.0, 2)
+        vals, _ = _eval(BasisSpec.hermite(2), 0.0)
         assert vals[2] == -1.0
 
     def test_symbolic_oracle(self):
         xs = np.random.default_rng(5).uniform(-3.0, 3.0, size=100)
-        vals, _ = eval_hermite(xs, 5)
+        vals, _ = _eval(BasisSpec.hermite(5), xs)
         for n, poly in enumerate(_HERMITE_SYMBOLIC):
             np.testing.assert_allclose(vals[:, n], poly(xs), atol=1e-9, rtol=0.0)
 
     def test_derivative_identity(self):
         xs = np.linspace(-2.0, 2.0, 9)
-        vals, d = eval_hermite(xs, 5)
+        vals, d = _eval(BasisSpec.hermite(5), xs)
         for n in range(1, 6):
             np.testing.assert_allclose(d[:, n], n * vals[:, n - 1], atol=1e-12)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_hermite(x, 5),
+        _check_input_derivative(lambda x: _eval(BasisSpec.hermite(5), x),
                                 np.random.default_rng(6).uniform(-2.0, 2.0, 100))
 
 
@@ -215,21 +213,21 @@ class TestGaussianRbf:
     CENTERS = (-1.0, 0.0, 1.0)
 
     def test_unit_at_center(self):
-        vals, _ = eval_gaussian_rbf(0.0, self.CENTERS, 0.5)
+        vals, _ = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), 0.0)
         assert vals[1] == 1.0
 
     def test_one_bandwidth_away(self):
-        vals, _ = eval_gaussian_rbf(1.5, self.CENTERS, 0.5)
+        vals, _ = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), 1.5)
         assert vals[2] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_derivative_zero_at_center(self):
-        _, d = eval_gaussian_rbf(-1.0, self.CENTERS, 0.7)
+        _, d = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.7), -1.0)
         assert d[0] == 0.0
 
     def test_formula_oracle(self):
         xs = np.random.default_rng(7).uniform(-2.5, 2.5, size=50)
         h = 0.6
-        vals, d = eval_gaussian_rbf(xs, self.CENTERS, h)
+        vals, d = _eval(BasisSpec.gaussian_rbf(self.CENTERS, h), xs)
         for i, c in enumerate(self.CENTERS):
             u = (xs - c) / h
             np.testing.assert_allclose(vals[:, i], np.exp(-u * u), atol=1e-14)
@@ -237,14 +235,14 @@ class TestGaussianRbf:
 
     def test_bad_bandwidth(self):
         with pytest.raises(ParameterError):
-            eval_gaussian_rbf(0.0, self.CENTERS, 0.0)
+            _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.0), 0.0)
 
     def test_no_centers(self):
         with pytest.raises(ParameterError):
-            eval_gaussian_rbf(0.0, (), 1.0)
+            _eval(BasisSpec.gaussian_rbf((), 1.0), 0.0)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_gaussian_rbf(x, self.CENTERS, 0.5),
+        _check_input_derivative(lambda x: _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), x),
                                 np.random.default_rng(8).uniform(-2.0, 2.0, 100))
 
 
@@ -264,22 +262,22 @@ def _naive_bspline(x, knots, i, p):
 
 class TestBspline:
     def test_degree_zero_indicator(self):
-        vals, _ = eval_bspline(0.15, 5, 0)
+        vals, _ = _eval(BasisSpec.bspline(5, 0), 0.15)
         assert np.sum(vals == 1.0) == 1
         assert np.sum(vals) == 1.0
 
     def test_partition_of_unity(self):
         xs = np.random.default_rng(9).uniform(-0.999, 0.999, size=100)
-        vals, _ = eval_bspline(xs, 5, 3)
+        vals, _ = _eval(BasisSpec.bspline(5, 3), xs)
         np.testing.assert_allclose(vals.sum(axis=-1), 1.0, atol=1e-10, rtol=0.0)
 
     def test_nonnegative(self):
         xs = np.linspace(-1.0, 1.0, 401)
-        vals, _ = eval_bspline(xs, 6, 3)
+        vals, _ = _eval(BasisSpec.bspline(6, 3), xs)
         assert np.min(vals) >= -1e-14
 
     def test_basis_count(self):
-        vals, _ = eval_bspline(0.0, 7, 2)
+        vals, _ = _eval(BasisSpec.bspline(7, 2), 0.0)
         assert vals.shape == (9,)
 
     def test_naive_recursion_oracle(self):
@@ -287,29 +285,29 @@ class TestBspline:
         h = 2.0 / grid_size
         knots = [(j - degree) * h - 1.0 for j in range(grid_size + 2 * degree + 1)]
         xs = np.random.default_rng(10).uniform(-0.99, 0.99, size=25)
-        vals, _ = eval_bspline(xs, grid_size, degree)
+        vals, _ = _eval(BasisSpec.bspline(grid_size, degree), xs)
         for row, x in zip(vals, xs):
             oracle = [_naive_bspline(float(x), knots, i, degree)
                       for i in range(grid_size + degree)]
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
     def test_stable_at_right_edge(self):
-        vals, d = eval_bspline(1.0, 5, 3)
+        vals, d = _eval(BasisSpec.bspline(5, 3), 1.0)
         assert np.isfinite(vals).all() and np.isfinite(d).all()
         assert vals.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_derivative_sums_to_zero(self):
         # partition of unity is constant, so basis derivatives sum to 0
         xs = np.linspace(-0.9, 0.9, 50)
-        _, d = eval_bspline(xs, 5, 3)
+        _, d = _eval(BasisSpec.bspline(5, 3), xs)
         np.testing.assert_allclose(d.sum(axis=-1), 0.0, atol=1e-10)
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ParameterError):
-            eval_bspline(0.0, 3, 3)
+            _eval(BasisSpec.bspline(3, 3), 0.0)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_bspline(x, 5, 3),
+        _check_input_derivative(lambda x: _eval(BasisSpec.bspline(5, 3), x),
                                 np.random.default_rng(11).uniform(-0.95, 0.95, 100))
 
     @given(st.floats(min_value=-0.999, max_value=0.999),
@@ -317,28 +315,24 @@ class TestBspline:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=80, deadline=None)
     def test_partition_of_unity_property(self, x, grid_size, degree):
-        vals, _ = eval_bspline(x, grid_size, degree)
+        vals, _ = _eval(BasisSpec.bspline(grid_size, degree), x)
         assert abs(vals.sum() - 1.0) <= 1e-10
 
 
 class TestBsrbf:
     def test_concatenation_length(self):
         spec = BasisSpec.bsrbf()
-        vals, d = eval_bsrbf(0.3, spec)
+        vals, d = _eval(spec, 0.3)
         assert vals.shape == (16,) and d.shape == (16,)
 
     def test_equals_parts(self):
         spec = BasisSpec.bsrbf()
         xs = np.linspace(-0.9, 0.9, 11)
-        vals, d = eval_bsrbf(xs, spec)
-        sv, sd = eval_bspline(xs, spec.spline_part.grid_size, spec.spline_part.degree)
-        rv, rd = eval_gaussian_rbf(xs, spec.rbf_part.centers, spec.rbf_part.bandwidth)
+        vals, d = _eval(spec, xs)
+        sv, sd = _eval(spec.spline_part, xs)
+        rv, rd = _eval(spec.rbf_part, xs)
         np.testing.assert_array_equal(vals, np.concatenate([sv, rv], axis=-1))
         np.testing.assert_array_equal(d, np.concatenate([sd, rd], axis=-1))
-
-    def test_wrong_family_rejected(self):
-        with pytest.raises(ParameterError):
-            eval_bsrbf(0.0, BasisSpec.taylor())
 
 
 class TestWavelet:
@@ -391,17 +385,17 @@ class TestWavelet:
 
 class TestFourier:
     def test_at_zero(self):
-        vals, _ = eval_fourier(0.0, 3)
+        vals, _ = _eval(BasisSpec.fourier(3), 0.0)
         np.testing.assert_array_equal(vals, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
     def test_zero_harmonics(self):
-        vals, d = eval_fourier(0.42, 0)
+        vals, d = _eval(BasisSpec.fourier(0), 0.42)
         np.testing.assert_array_equal(vals, [1.0])
         np.testing.assert_array_equal(d, [0.0])
 
     def test_trig_oracle(self):
         xs = np.random.default_rng(13).uniform(-1.0, 1.0, size=50)
-        vals, d = eval_fourier(xs, 4)
+        vals, d = _eval(BasisSpec.fourier(4), xs)
         np.testing.assert_allclose(vals[:, 0], 1.0, atol=0)
         for n in range(1, 5):
             w = n * np.pi
@@ -411,7 +405,7 @@ class TestFourier:
             np.testing.assert_allclose(d[:, 2 * n], w * np.cos(w * xs), atol=1e-12)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: eval_fourier(x, 4),
+        _check_input_derivative(lambda x: _eval(BasisSpec.fourier(4), x),
                                 np.random.default_rng(14).uniform(-0.99, 0.99, 100))
 
 
@@ -474,7 +468,7 @@ class TestBasisSpec:
                     evaluate_basis(BasisSpec.wavelet(), xs)
                 continue
             spec = BasisSpec(family=family)
-            vals, d = evaluate_basis(spec, xs)
+            vals, d = _eval(spec, xs)
             assert vals.shape == (5, basis_size(spec))
             assert d.shape == vals.shape
             assert np.isfinite(vals).all() and np.isfinite(d).all()
@@ -489,4 +483,4 @@ class TestDerivativeSweep:
         spec = BasisSpec(family=family)
         lo, hi = (-0.99, 0.99) if family in SQUASHED_FAMILIES else (-2.5, 2.5)
         xs = rng.uniform(lo, hi, size=100)
-        _check_input_derivative(lambda x: evaluate_basis(spec, x), xs)
+        _check_input_derivative(lambda x: _eval(spec, x), xs)

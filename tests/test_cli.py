@@ -152,8 +152,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("argv", [["train", "--lr-grid", "1e-3,x"],
                                       ["pca", "--taus", "0.90,abc"],
-                                      ["sweep-order", "--orders", "1,x"]],
-                             ids=["lr-grid", "taus", "orders"])
+                                      ["sweep-order", "--orders", "1,x"],
+                                      ["pca", "--taus", "1.5"],
+                                      ["pca", "--taus", "0"],
+                                      ["sweep-order", "--orders", "0,-1"],
+                                      ["train", "--lr-grid", "0,1e-3"]],
+                             ids=["lr-grid", "taus", "orders", "taus-above-one",
+                                  "taus-zero", "orders-negative", "lr-grid-zero"])
     def test_malformed_list_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                               capsys, argv):
         out = tmp_path / "x"

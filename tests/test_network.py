@@ -2,6 +2,7 @@
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,26 @@ class TestBackward:
             for p, g in zip(params, grads.arrays):
                 assert p.shape == g.shape
 
+    def test_wavelet_derivatives_frozen_at_forward(self):
+        # Adam updates scales and shifts in place between forward and the
+        # next step; backward must differentiate what forward evaluated.
+        net = init_network([4, 3, 1], BasisSpec.wavelet(), Rng(3))
+        rng = np.random.default_rng(3)
+        for layer in net.layers:
+            layer.scales[:] = rng.uniform(0.5, 2.0, size=layer.scales.shape)
+            layer.shifts[:] = rng.uniform(-0.5, 0.5, size=layer.shifts.shape)
+        clone = net.clone()
+        x = rng.normal(size=(6, 4))
+        _, cache = forward(net, x)
+        _, clone_cache = forward(clone, x)
+        for layer in net.layers:
+            layer.scales *= 1.7
+            layer.shifts += 0.3
+        g = rng.normal(size=6)
+        got = backward(net, cache, g).arrays
+        want = backward(clone, clone_cache, g).arrays
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     @pytest.mark.parametrize("family", sorted(ALL_SPECS))
     def test_finite_difference_suite(self, family):
         """Analytic vs central-difference gradients on a [5,8,4,1] stack.
@@ -303,6 +324,34 @@ class TestBackward:
         ok_loose, _ = _grad_agreement(fd, grads.arrays, 1e-3, 1e-7)
         assert ok_tight / total >= 0.99, f"{family}: {ok_tight}/{total} within 1e-4"
         assert ok_loose == total, f"{family}: {total - ok_loose} params beyond 1e-3"
+
+
+def _inference_peak_bytes(net, x) -> int:
+    tracemalloc.start()
+    try:
+        forward(net, x, want_cache=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    """forward(want_cache=False) builds no derivative tables."""
+
+    @pytest.mark.parametrize("spec", [BasisSpec.chebyshev(3), BasisSpec.taylor(2),
+                                      BasisSpec.jacobi(3)],
+                             ids=["chebyshev-3", "taylor-2", "jacobi-3"])
+    def test_coefficient_family_peak_within_two_values_tables(self, spec):
+        net = init_network([512, 64, 1], spec, Rng(0))
+        x = np.random.default_rng(0).normal(size=(1000, 512))
+        values_table = x.size * basis_size(spec) * 8  # layer 0, float64
+        assert _inference_peak_bytes(net, x) <= 2.0 * values_table
+
+    def test_wavelet_peak_within_four_and_a_half_edge_tensors(self):
+        net = init_network([256, 128, 1], BasisSpec.wavelet(), Rng(0))
+        x = np.random.default_rng(0).normal(size=(256, 256))
+        edge_tensor = 256 * 128 * 256 * 8  # one float64 [n, out, in] array
+        assert _inference_peak_bytes(net, x) <= 4.5 * edge_tensor
 
 
 class TestMlp:

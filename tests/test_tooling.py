@@ -1,10 +1,14 @@
-"""Guards for the benchmark tooling that patches package internals."""
+"""Guards for the benchmark tooling and the package's dependency rule."""
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "kanreg"
 
 
 def _load_tracer():
@@ -27,3 +31,21 @@ def test_tracer_wraps_bindings_that_exist():
         if not callable(owner.__dict__.get(attr)):
             missing.append(f"{module_path}.{attr}")
     assert missing == []
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    # NumPy is the only runtime dependency (pyproject.toml); an import of
+    # anything else would break installs that have nothing more.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kanreg"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
