@@ -421,15 +421,18 @@ def mexican_hat(x, scale, shift):
     if np.any(s <= 0.0):
         raise ParameterError("wavelet scale must be positive")
     u = (xa - t) / s
-    e = np.exp(-0.5 * u * u)
-    psi = MEXICAN_HAT_PEAK * (1.0 - u * u) * e
     inv_sqrt_s = 1.0 / np.sqrt(s)
 
+    def psi_of_u():  # recomputed in derivatives() so only u stays alive
+        e = np.exp(-0.5 * u * u)
+        return e, MEXICAN_HAT_PEAK * (1.0 - u * u) * e
+
     def derivatives():
+        e, psi = psi_of_u()
         dpsi = MEXICAN_HAT_PEAK * e * (u ** 3 - 3.0 * u)
         d_x = inv_sqrt_s * dpsi / s
         return d_x, -(inv_sqrt_s / s) * (0.5 * psi + u * dpsi)
-    return inv_sqrt_s * psi, derivatives
+    return inv_sqrt_s * psi_of_u()[1], derivatives
 
 
 def eval_mexican_hat(x, scale, shift):

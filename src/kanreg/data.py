@@ -12,6 +12,7 @@ Loaders reject malformed input with precise locations instead of guessing.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import struct
 import tempfile
@@ -63,16 +64,18 @@ class Standardizer:
 
 def atomic_write_text(path, text: str) -> None:
     """Write via temp file + rename so readers never observe partial files."""
-    _atomic_write(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write an iterable of byte chunks via temp file + rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kanreg-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,14 +109,14 @@ def _load_csv(path, name: str) -> FeatureTable:
             raise ParseError("header must end with a 'mos' column after at "
                              "least one feature column", line=1)
         d = len(header) - 1
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != d + 1:
                 raise ParseError(f"expected {d + 1} fields, got {len(row)}", line=lineno)
             try:
-                rows.append([float(c) for c in row])
+                values = np.array(row, dtype=np.float64)  # parses as float() does
             except ValueError:
                 for col, cell in enumerate(row, start=1):
                     try:
@@ -121,12 +124,16 @@ def _load_csv(path, name: str) -> FeatureTable:
                     except ValueError:
                         raise ParseError(f"non-numeric cell {cell!r}",
                                          line=lineno, column=col) from None
+                raise
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ParseError("non-finite value", line=lineno,
+                                 column=int(np.argmin(finite)) + 1)
+            rows.append(values)
     if not rows:
         raise InsufficientDataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        r, c = np.argwhere(~np.isfinite(data))[0]
-        raise ParseError("non-finite value", line=int(r) + 2, column=int(c) + 1)
+    data = np.stack(rows)
+    del rows  # the row arrays go before the features copy is made
     return FeatureTable(name=name, features=data[:, :d].copy(), scores=data[:, d].copy())
 
 
@@ -161,18 +168,17 @@ def save_table(table: FeatureTable, path, fmt: str | None = None) -> None:
     n, d = table.features.shape
     if table.scores.shape != (n,):
         raise ShapeError(f"scores shape {table.scores.shape} does not match n={n}")
-    if fmt == "csv":
-        lines = [",".join([f"f{j}" for j in range(d)] + ["mos"])]
-        for i in range(n):
-            cells = [f"{v:.17g}" for v in table.features[i]]
-            cells.append(f"{table.scores[i]:.17g}")
-            lines.append(",".join(cells))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+    if fmt == "csv":  # streamed one line at a time
+        header = ",".join([f"f{j}" for j in range(d)] + ["mos"])
+        lines = (",".join([f"{v:.17g}" for v in row] + [f"{score:.17g}"])
+                 for row, score in zip(table.features, table.scores))
+        _atomic_write(path, (f"{line}\n".encode("utf-8")
+                             for line in itertools.chain([header], lines)))
     else:
         payload = _HEADER.pack(BINARY_MAGIC, BINARY_VERSION, n, d)
         payload += table.features.astype("<f8").tobytes(order="C")
         payload += table.scores.astype("<f8").tobytes(order="C")
-        _atomic_write(path, payload)
+        _atomic_write(path, [payload])
 
 
 def split(n: int, seed: int) -> SplitIndices:

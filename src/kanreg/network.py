@@ -198,13 +198,43 @@ def _as_batch(x, expected_dim: int) -> np.ndarray:
     return xa
 
 
+# A values-only pass runs in row chunks whose widest per-row intermediate
+# fills about this many bytes, so its memory does not grow with the row count.
+CHUNK_BYTES = 16 * 2**20
+
+
+def _row_chunks(net, n: int, width: int = 1) -> list[slice]:
+    """Row slices of ``n`` rows, each small enough for CHUNK_BYTES.
+
+    The widest per-row intermediate is ``in_dim * b`` basis values for a
+    coefficient layer, ``out_dim * in_dim`` edge values for a wavelet
+    layer, the widest MLP layer, or ``width`` raw feature columns.
+    """
+    if isinstance(net, MlpNetwork):
+        widest = max(net.dims)
+    else:
+        b = basis_size(net.spec)
+        widest = max(layer.out_dim * layer.in_dim if layer.scales is not None
+                     else layer.in_dim * b for layer in net.layers)
+    step = max(1, CHUNK_BYTES // (8 * max(widest, width)))
+    return [slice(i, i + step) for i in range(0, max(n, 1), step)]
+
+
 def forward(net, x, want_cache: bool = True):
     """Run the network on a batch; returns ``(outputs, cache)``.
 
     ``outputs`` is the length-n prediction vector. ``cache`` holds the
-    per-layer intermediates :func:`backward` needs (or None when
-    ``want_cache`` is false).
+    per-layer intermediates :func:`backward` needs. Without a cache
+    (``want_cache`` false, cache None) the rows run in chunks.
     """
+    if want_cache:
+        return _forward_rows(net, x, True)
+    xa = _as_batch(x, net.dims[0])
+    outs = [_forward_rows(net, xa[rows], False)[0] for rows in _row_chunks(net, len(xa))]
+    return np.concatenate(outs), None
+
+
+def _forward_rows(net, x, want_cache: bool):
     if isinstance(net, MlpNetwork):
         return mlp_forward(net, x, want_cache)
     spec = net.spec
@@ -342,22 +372,25 @@ class ModelBundle:
 
 
 def predict(model: ModelBundle, features) -> np.ndarray:
-    """Raw-scale predictions for raw feature rows."""
+    """Raw-scale predictions for raw feature rows, scored in row chunks."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ShapeError(f"features must be 2-D [n, d], got ndim={f.ndim}")
-    if model.standardizer is not None:
-        if f.shape[1] != model.standardizer.means.size:
-            raise ShapeError(
-                f"model was fit on {model.standardizer.means.size} features, "
-                f"table has {f.shape[1]}")
-        f = apply_standardizer(model.standardizer, f)
-    if model.pca is not None:
-        f = pca_transform(model.pca, f)
-    if model.feature_scaler is not None:
-        f = apply_standardizer(model.feature_scaler, f)
-    out, _ = forward(model.net, f, want_cache=False)
-    return out * model.target_std + model.target_mean
+    if model.standardizer is not None and f.shape[1] != model.standardizer.means.size:
+        raise ShapeError(
+            f"model was fit on {model.standardizer.means.size} features, "
+            f"table has {f.shape[1]}")
+    outs = []
+    for rows in _row_chunks(model.net, len(f), f.shape[1]):
+        g = f[rows]
+        if model.standardizer is not None:
+            g = apply_standardizer(model.standardizer, g)
+        if model.pca is not None:
+            g = pca_transform(model.pca, g)
+        if model.feature_scaler is not None:
+            g = apply_standardizer(model.feature_scaler, g)
+        outs.append(forward(model.net, g, want_cache=False)[0])
+    return np.concatenate(outs) * model.target_std + model.target_mean
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +513,9 @@ def _object(doc: dict, key: str, default=None):
 
 def load_model(path) -> ModelBundle:
     """Load a model file (version 1 or 2), validating every field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)  # the file text is dropped once parsed
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed model file: {e.msg}",
                          line=e.lineno, column=e.colno, offset=e.pos) from e

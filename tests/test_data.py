@@ -1,6 +1,7 @@
 """Feature-table formats, splitting, standardization, synthetic tables."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,47 @@ class TestCsv:
         with pytest.raises(ParseError) as exc:
             load_table(path)
         assert exc.value.line == 2
+
+    def test_non_finite_cell_after_blank_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,mos\n\n1,1\nnan,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_table(path)
+        assert exc.value.line == 4
+        assert exc.value.column == 1
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """CSV read and write hold about one copy of the table, not its text."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(4)
+        return FeatureTable("m", rng.normal(size=(400, 512)), rng.uniform(0, 100, 400))
+
+    def test_load_peak_within_three_feature_arrays(self, tmp_path):
+        table = self._table()
+        path = tmp_path / "m.csv"
+        save_table(table, path)
+        assert _traced_peak(lambda: load_table(path)) <= 3.0 * table.features.nbytes
+
+    def test_save_streams_the_same_bytes(self, tmp_path):
+        table = self._table()
+        path = tmp_path / "m.csv"
+        assert _traced_peak(lambda: save_table(table, path)) < 0.5 * table.features.nbytes
+        lines = [",".join([f"f{j}" for j in range(table.d)] + ["mos"])]
+        lines += [",".join([f"{v:.17g}" for v in table.features[i]] + [f"{table.scores[i]:.17g}"])
+                  for i in range(table.n)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestBinary:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kanreg import network
 from kanreg.basis import FAMILIES, BasisSpec, basis_size
 from kanreg.data import Standardizer
 from kanreg.errors import (
@@ -352,6 +353,94 @@ class TestInferenceMemory:
         x = np.random.default_rng(0).normal(size=(256, 256))
         edge_tensor = 256 * 128 * 256 * 8  # one float64 [n, out, in] array
         assert _inference_peak_bytes(net, x) <= 4.5 * edge_tensor
+
+
+CHUNK_SPECS = {"chebyshev": BasisSpec.chebyshev(3), "taylor": BasisSpec.taylor(2),
+               "wavelet": BasisSpec.wavelet()}
+# Row counts as (chunks, extra rows): 1, chunk-1, chunk, chunk+1, 2*chunk+1.
+ROW_COUNTS = pytest.mark.parametrize("times, plus", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                                     ids=["1", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
+
+
+def _chunk_bundle(kind):
+    """A standardizer -> PCA -> scaler bundle fit on 300 raw rank-3 rows of 12 columns."""
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 12))
+    raw += 0.01 * rng.normal(size=raw.shape)
+    std = fit_standardizer(raw)
+    z = apply_standardizer(std, raw)
+    pca = pca_fit(z, 0.95)
+    scaler = fit_standardizer(pca_transform(pca, z))
+    dims = [pca.k, 6, 1]
+    net = init_mlp(dims, Rng(5)) if kind == "mlp" else init_network(dims, CHUNK_SPECS[kind], Rng(5))
+    return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
+                       target_mean=50.0, target_std=12.5), raw
+
+
+class TestChunkedInference:
+    """Values-only passes run in row chunks and match the one-shot result."""
+
+    @ROW_COUNTS
+    @pytest.mark.parametrize("kind", [*CHUNK_SPECS, "mlp"])
+    def test_predict_matches_one_shot(self, monkeypatch, kind, times, plus):
+        bundle, raw = _chunk_bundle(kind)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 4096)
+        chunk = network._row_chunks(bundle.net, 10**6, raw.shape[1])[0].stop
+        assert 2 <= chunk and 2 * chunk + 1 <= len(raw)
+        x = raw[:times * chunk + plus]
+        got = predict(bundle, x)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 2**62)
+        np.testing.assert_allclose(got, predict(bundle, x), rtol=0, atol=1e-12)
+
+    @ROW_COUNTS
+    @pytest.mark.parametrize("kind", [*CHUNK_SPECS, "mlp"])
+    def test_forward_without_cache_matches_cached_pass(self, monkeypatch, kind, times, plus):
+        net = _chunk_bundle(kind)[0].net
+        monkeypatch.setattr(network, "CHUNK_BYTES", 4096)
+        chunk = network._row_chunks(net, 10**6)[0].stop
+        assert chunk >= 2
+        x = np.random.default_rng(9).normal(size=(times * chunk + plus, net.dims[0]))
+        got, cache = forward(net, x, want_cache=False)
+        assert cache is None
+        np.testing.assert_allclose(got, forward(net, x)[0], rtol=0, atol=1e-12)
+
+    def test_overflow_in_a_later_chunk_names_the_layer(self, monkeypatch):
+        net = init_network([1, 1, 1], BasisSpec.taylor(2), Rng(0))
+        net.layers[0].coeffs[...] = [0.0, 1e200, 0.0]  # output ~1e200 * x
+        net.layers[1].coeffs[...] = 1.0                # squares it -> inf
+        monkeypatch.setattr(network, "CHUNK_BYTES", 8 * 3 * 4)  # 4 rows a chunk
+        x = np.zeros((9, 1))
+        x[6] = 2.0
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            forward(net, x, want_cache=False)
+        assert exc.value.layer == 1
+
+    def test_fullwidth_predict_peak_does_not_grow_with_rows(self):
+        bundle = ModelBundle(net=init_network([2048, 512, 128, 1], BasisSpec.chebyshev(3),
+                                              Rng(0)))
+        x = np.random.default_rng(0).normal(size=(4000, 2048))
+        peaks = []
+        for n in (500, 4000):
+            tracemalloc.start()
+            try:
+                predict(bundle, x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_training_forward_retains_value_and_u_per_wavelet_edge(self):
+        net = init_network([256, 128, 1], BasisSpec.wavelet(), Rng(0))
+        x = np.random.default_rng(0).normal(size=(256, 256))
+        edge_tensor = 256 * 128 * 256 * 8  # one float64 [n, out, in] array
+        tracemalloc.start()
+        try:
+            _, cache = forward(net, x)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cache is not None
+        assert retained <= 2.1 * edge_tensor
 
 
 class TestMlp:
