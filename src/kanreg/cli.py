@@ -160,8 +160,13 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if "tau" in resolved and resolved["tau"] not in _TAU_CHOICES:
         raise ParameterError(
             f"--tau must be one of 0.90, 0.95, 1.0; got {resolved['tau']}")
-    if "basis" in resolved and resolved["basis"] == "wavelet":
-        resolved["basis"] = "wavelet_mexican_hat"
+    if "basis" in resolved:  # a training command: its spec and schedule must build
+        if resolved["basis"] == "wavelet":
+            resolved["basis"] = "wavelet_mexican_hat"
+        _basis_spec(resolved)
+        _train_config(resolved)
+    if resolved.get("bins", 1) < 1:
+        raise ParameterError(f"--bins must be >= 1, got {resolved['bins']}")
     for key, rule in _LIST_FLAGS.items():
         if key == "lr_grid" and resolved.get(key) == "default":
             resolved[key] = DEFAULT_LR_GRID
@@ -196,6 +201,12 @@ def _basis_spec(cfg: dict, family: str | None = None) -> BasisSpec | None:
     fields = {attr: _basis_spec(cfg, key) if key in FAMILY_FIELDS else cfg[key]
               for attr, _, key in FAMILY_FIELDS.get(family, ()) if key}
     return BasisSpec(family=family, **fields)
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(max_epochs=cfg["max_epochs"], patience=cfg["patience"],
+                       batch_size=cfg["batch"], l1_penalty=cfg["l1"],
+                       seed=(cfg["seed"] + 2) & _SEED_MASK)
 
 
 def _sha256(path: str) -> str:
@@ -271,18 +282,13 @@ def _prepare_features(table: FeatureTable, cfg: dict, use_pca: bool):
 
 def _run_training(work: FeatureTable, splits, cfg: dict,
                   spec: BasisSpec | None, dims) -> GridSearchResult:
-    seed = cfg["seed"]
-    init_rng = Rng((seed + 1) & _SEED_MASK)
+    init_rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
     if spec is None:
         net = init_mlp(dims, init_rng)
     else:
         net = init_network(dims, spec, init_rng)
-    train_config = TrainConfig(
-        max_epochs=cfg["max_epochs"], patience=cfg["patience"],
-        batch_size=cfg["batch"], l1_penalty=cfg["l1"],
-        seed=(seed + 2) & _SEED_MASK)
     grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
-    return grid_search(net, work, splits, train_config, grid)
+    return grid_search(net, work, splits, _train_config(cfg), grid)
 
 
 def _train_and_score(table: FeatureTable, prepared, cfg: dict,

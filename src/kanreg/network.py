@@ -15,7 +15,6 @@ versioned JSON model files.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,9 +51,6 @@ class KanNetwork:
     def dims(self) -> list[int]:
         return [self.layers[0].in_dim] + [layer.out_dim for layer in self.layers]
 
-    def clone(self) -> "KanNetwork":
-        return copy.deepcopy(self)
-
 
 @dataclass
 class MlpNetwork:
@@ -66,9 +62,6 @@ class MlpNetwork:
     @property
     def dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def clone(self) -> "MlpNetwork":
-        return copy.deepcopy(self)
 
 
 MLP_HIDDEN_DIMS = (1024, 512, 256, 128)
@@ -235,29 +228,33 @@ def forward(net, x, want_cache: bool = True):
 
 
 def _forward_rows(net, x, want_cache: bool):
-    if isinstance(net, MlpNetwork):
-        return mlp_forward(net, x, want_cache)
-    spec = net.spec
-    squash = spec.squashes_input()
-    if net.layers[-1].out_dim != 1:
-        raise ShapeError(
-            f"forward needs a scalar-output network, got out_dim={net.layers[-1].out_dim}")
-    cur = _as_batch(x, net.layers[0].in_dim)
+    dims = net.dims
+    if dims[-1] != 1:
+        raise ShapeError(f"forward needs a scalar-output network, got out_dim={dims[-1]}")
+    cur = _as_batch(x, dims[0])
     n = cur.shape[0]
+    dense = isinstance(net, MlpNetwork)
+    squash = not dense and net.spec.squashes_input()
     layer_data: list[dict] = []
-    for l, layer in enumerate(net.layers):
-        u = np.tanh(cur) if squash else cur
-        if layer.scales is not None:  # wavelet
-            val, derivatives = mexican_hat(
-                u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])
-            out = np.einsum("oi,noi->no", layer.coeffs[:, :, 0], val)
+    for l in range(len(dims) - 1):
+        if dense:  # the hidden ReLU applies as data enters the next layer
+            u = np.maximum(cur, 0.0) if l else cur
+            out = u @ net.weights[l].T + net.biases[l]
         else:
-            val, derivatives = evaluate_basis(spec, u)
-            out = val.reshape(n, -1) @ layer.coeffs.reshape(layer.out_dim, -1).T
+            layer = net.layers[l]
+            u = np.tanh(cur) if squash else cur
+            if layer.scales is not None:  # wavelet
+                val, derivatives = mexican_hat(
+                    u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])
+                out = np.einsum("oi,noi->no", layer.coeffs[:, :, 0], val)
+            else:
+                val, derivatives = evaluate_basis(net.spec, u)
+                out = val.reshape(n, -1) @ layer.coeffs.reshape(layer.out_dim, -1).T
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite activation in forward pass", layer=l)
         if want_cache:  # backward calls derivatives() only for layers it differentiates
-            layer_data.append({"squashed": u if squash else None, "values": val,
+            layer_data.append({"input": u, "pre": cur} if dense else
+                              {"squashed": u if squash else None, "values": val,
                                "derivatives": derivatives})
         cur = out
     cache = ForwardCache(net=net, n=n, layer_data=layer_data) if want_cache else None
@@ -272,38 +269,44 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
     The gradient with respect to the network input (layer 0's input
     gradient) is not computed, since no parameter depends on it.
     """
-    if isinstance(net, MlpNetwork):
-        return mlp_backward(net, cache, out_grads)
     if cache is None or cache.net is not net:
         raise ContractError("backward needs the cache produced by forward on this network")
-    if len(cache.layer_data) != len(net.layers):
+    dense = isinstance(net, MlpNetwork)
+    layers = net.weights if dense else net.layers
+    if len(cache.layer_data) != len(layers):
         raise ContractError("stale cache: layer count does not match the network")
     g = np.asarray(out_grads, dtype=np.float64).reshape(-1)
     if g.size != cache.n:
         raise ShapeError(f"out_grads has length {g.size}, expected {cache.n}")
     grad = g[:, None]
-    squash = net.spec.squashes_input()
-    per_layer: list[list[np.ndarray]] = [[] for _ in net.layers]
-    for l in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[l]
+    squash = not dense and net.spec.squashes_input()
+    per_layer: list[list[np.ndarray]] = [[] for _ in layers]
+    for l in range(len(layers) - 1, -1, -1):
         data = cache.layer_data[l]
-        val = data["values"]
-        if layer.scales is not None:  # wavelet
+        layer = layers[l]  # a dense layer is its weight matrix
+        # the parameter gradients of layer l
+        if dense:
+            per_layer[l] = [grad.T @ data["input"], grad.sum(axis=0)]
+        elif layer.scales is not None:  # wavelet
             d_x, d_scale = data["derivatives"]()
-            coeff_grad = np.einsum("no,noi->oi", grad, val)[:, :, None]
+            coeff_grad = np.einsum("no,noi->oi", grad, data["values"])[:, :, None]
             common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
             scale_grad = np.einsum("noi,noi->oi", common, d_scale)
             shift_grad = -np.einsum("noi,noi->oi", common, d_x)  # d_shift = -d_x
             per_layer[l] = [coeff_grad, scale_grad, shift_grad]
-            if l == 0:
-                break
+        else:
+            val = data["values"]
+            n = val.shape[0]
+            per_layer[l] = [(grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)]
+        if l == 0:
+            break
+        # the gradient with respect to layer l's input
+        if dense:
+            grad = (grad @ layer) * (data["pre"] > 0.0)
+            continue
+        if layer.scales is not None:
             du = np.einsum("noi,noi->ni", common, d_x)
         else:
-            n = val.shape[0]
-            coeff_grad = (grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)
-            per_layer[l] = [coeff_grad]
-            if l == 0:
-                break
             p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
             du = np.sum(p * data["derivatives"](), axis=-1)
         if squash:
@@ -312,44 +315,6 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         else:
             grad = du
     return GradientSet(arrays=[g for grads in per_layer for g in grads])
-
-
-def mlp_forward(net: MlpNetwork, x, want_cache: bool = True):
-    cur = _as_batch(x, net.weights[0].shape[1])
-    n = cur.shape[0]
-    last = len(net.weights) - 1
-    layer_data: list[dict] = []
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        pre = cur @ w.T + b
-        if not np.all(np.isfinite(pre)):
-            raise NumericError("non-finite activation in forward pass", layer=l)
-        out = pre if l == last else np.maximum(pre, 0.0)
-        if want_cache:
-            layer_data.append({"input": cur, "pre": pre})
-        cur = out
-    cache = ForwardCache(net=net, n=n, layer_data=layer_data) if want_cache else None
-    return cur[:, 0], cache
-
-
-def mlp_backward(net: MlpNetwork, cache: ForwardCache, out_grads) -> GradientSet:
-    if cache is None or cache.net is not net:
-        raise ContractError("backward needs the cache produced by forward on this network")
-    if len(cache.layer_data) != len(net.weights):
-        raise ContractError("stale cache: layer count does not match the network")
-    g = np.asarray(out_grads, dtype=np.float64).reshape(-1)
-    if g.size != cache.n:
-        raise ShapeError(f"out_grads has length {g.size}, expected {cache.n}")
-    grad = g[:, None]
-    w_grads: list[np.ndarray | None] = [None] * len(net.weights)
-    b_grads: list[np.ndarray | None] = [None] * len(net.weights)
-    for l in range(len(net.weights) - 1, -1, -1):
-        data = cache.layer_data[l]
-        w_grads[l] = grad.T @ data["input"]
-        b_grads[l] = grad.sum(axis=0)
-        if l > 0:
-            grad = grad @ net.weights[l]
-            grad = grad * (cache.layer_data[l - 1]["pre"] > 0.0)
-    return GradientSet(arrays=[g for pair in zip(w_grads, b_grads) for g in pair])
 
 
 @dataclass
@@ -412,22 +377,23 @@ def save_model(path, model: ModelBundle) -> None:
     """Serialize a ModelBundle to JSON."""
     net = model.net
     doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
+
+    def put_blocks(key, arrays):
+        doc[key] = [_block(a, f"{key}[{l}]") for l, a in enumerate(arrays)]
+
     if isinstance(net, MlpNetwork):
         doc["family"] = "mlp"
         doc["layer_dims"] = net.dims
-        doc["mlp_weights"] = [_block(w, f"mlp_weights[{l}]") for l, w in enumerate(net.weights)]
-        doc["mlp_biases"] = [_block(b, f"mlp_biases[{l}]") for l, b in enumerate(net.biases)]
+        put_blocks("mlp_weights", net.weights)
+        put_blocks("mlp_biases", net.biases)
     elif isinstance(net, KanNetwork):
         doc["family"] = net.spec.family
         doc["basis"] = net.spec.to_dict()
         doc["layer_dims"] = net.dims
-        doc["coeffs"] = [_block(layer.coeffs, f"coeffs[{l}]")
-                         for l, layer in enumerate(net.layers)]
+        put_blocks("coeffs", [layer.coeffs for layer in net.layers])
         if net.spec.family == "wavelet_mexican_hat":
-            doc["wavelet_scales"] = [_block(layer.scales, f"wavelet_scales[{l}]")
-                                     for l, layer in enumerate(net.layers)]
-            doc["wavelet_shifts"] = [_block(layer.shifts, f"wavelet_shifts[{l}]")
-                                     for l, layer in enumerate(net.layers)]
+            put_blocks("wavelet_scales", [layer.scales for layer in net.layers])
+            put_blocks("wavelet_shifts", [layer.shifts for layer in net.layers])
     else:
         raise ParameterError(f"unsupported network type {type(net).__name__}")
     doc["target_affine"] = {"mean": float(model.target_mean), "std": float(model.target_std)}
@@ -511,6 +477,19 @@ def _object(doc: dict, key: str, default=None):
     return value
 
 
+def _layer_blocks(doc: dict, key: str, shapes: list[tuple]) -> list[np.ndarray]:
+    """The per-layer arrays under ``key``: one per layer, each of its shape."""
+    blocks = doc.get(key)
+    _require(isinstance(blocks, list) and len(blocks) == len(shapes),
+             f"{key} does not hold one block per layer of layer_dims")
+    arrays = []
+    for l, (block, shape) in enumerate(zip(blocks, shapes)):
+        arrays.append(_finite(block, f"{key}[{l}]"))
+        _require(arrays[-1].shape == shape,
+                 f"{key}[{l}] has shape {arrays[-1].shape}, expected {shape}")
+    return arrays
+
+
 def load_model(path) -> ModelBundle:
     """Load a model file (version 1 or 2), validating every field."""
     try:
@@ -530,59 +509,36 @@ def load_model(path) -> ModelBundle:
     dims = doc.get("layer_dims")
     _require(isinstance(dims, list) and len(dims) >= 2, "layer_dims missing or too short")
     dims = [_count(d, f"layer_dims[{l}]") for l, d in enumerate(dims)]
+    edges = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]  # [out, in] per layer
     family = doc.get("family")
     if family == "mlp":
-        weights = doc.get("mlp_weights")
-        biases = doc.get("mlp_biases")
-        _require(isinstance(weights, list) and isinstance(biases, list)
-                 and len(weights) == len(dims) - 1 and len(biases) == len(dims) - 1,
-                 "mlp weights/biases do not match layer_dims")
-        ws = []
-        bs = []
-        for l, (w, b) in enumerate(zip(weights, biases)):
-            wa = _finite(w, f"mlp_weights[{l}]")
-            ba = _finite(b, f"mlp_biases[{l}]")
-            _require(wa.shape == (dims[l + 1], dims[l]) and ba.shape == (dims[l + 1],),
-                     f"mlp layer {l} has wrong shape")
-            ws.append(wa)
-            bs.append(ba)
-        net: object = MlpNetwork(weights=ws, biases=bs)
+        net: object = MlpNetwork(weights=_layer_blocks(doc, "mlp_weights", edges),
+                                 biases=_layer_blocks(doc, "mlp_biases",
+                                                      [(dout,) for dout, _ in edges]))
     else:
         try:
             spec = BasisSpec.from_dict(_object(doc, "basis", {"family": family}))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"basis is invalid: {e!r}") from None
-        coeffs = doc.get("coeffs")
-        _require(isinstance(coeffs, list) and len(coeffs) == len(dims) - 1,
-                 "coeffs do not match layer_dims")
         b = basis_size(spec)
-        wavelet = spec.family == "wavelet_mexican_hat"
-        scales = doc.get("wavelet_scales") if wavelet else [None] * (len(dims) - 1)
-        shifts = doc.get("wavelet_shifts") if wavelet else [None] * (len(dims) - 1)
-        if wavelet:
-            _require(isinstance(scales, list) and len(scales) == len(dims) - 1
-                     and isinstance(shifts, list) and len(shifts) == len(dims) - 1,
-                     "wavelet scales/shifts do not match layer_dims")
-        layers = []
-        for l in range(len(dims) - 1):
-            ca = _finite(coeffs[l], f"coeffs[{l}]")
-            _require(ca.shape == (dims[l + 1], dims[l], b),
-                     f"coeff block {l} has shape {ca.shape}, expected {(dims[l + 1], dims[l], b)}")
-            sa = ta = None
-            if wavelet:
-                sa = _finite(scales[l], f"wavelet_scales[{l}]")
-                ta = _finite(shifts[l], f"wavelet_shifts[{l}]")
-                _require(sa.shape == (dims[l + 1], dims[l]) and ta.shape == (dims[l + 1], dims[l]),
-                         f"wavelet block {l} has wrong shape")
-            layers.append(KanLayer(dims[l], dims[l + 1], ca, sa, ta))
-        net = KanNetwork(spec=spec, layers=layers)
+        coeffs = _layer_blocks(doc, "coeffs", [edge + (b,) for edge in edges])
+        scales = shifts = [None] * len(edges)
+        if spec.family == "wavelet_mexican_hat":
+            scales = _layer_blocks(doc, "wavelet_scales", edges)
+            shifts = _layer_blocks(doc, "wavelet_shifts", edges)
+        net = KanNetwork(spec=spec, layers=[
+            KanLayer(din, dout, c, s, t)
+            for (dout, din), c, s, t in zip(edges, coeffs, scales, shifts)])
 
     def _std_from(name):
         block = _object(doc, name)
         if block is None:
             return None
-        return Standardizer(means=_finite(block.get("means"), f"{name}.means"),
-                            stds=_finite(block.get("stds"), f"{name}.stds"),
+        means = _finite(block.get("means"), f"{name}.means")
+        stds = _finite(block.get("stds"), f"{name}.stds")
+        _require(means.ndim == 1 and stds.shape == means.shape,
+                 f"{name} has means of shape {means.shape} and stds of shape {stds.shape}")
+        return Standardizer(means=means, stds=stds,
                             epsilon=float(_finite(block.get("epsilon", 1e-8),
                                                   f"{name}.epsilon")))
 
@@ -597,6 +553,11 @@ def load_model(path) -> ModelBundle:
                        k=_count(p.get("k"), "pca.k"),
                        tau=(float(_finite(p["tau"], "pca.tau"))
                             if p.get("tau") is not None else None))
+        d = pca.mean.shape
+        _require(len(d) == 1 and pca.eigenvalues.shape == d
+                 and pca.components.shape == (pca.k,) + d,
+                 f"pca has mean {d}, eigenvalues {pca.eigenvalues.shape} and components "
+                 f"{pca.components.shape} with k={pca.k}; expected [d], [d] and [k, d]")
     affine = _object(doc, "target_affine", {})
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
                        target_mean=float(_finite(affine.get("mean", 0.0), "target_affine.mean")),

@@ -14,6 +14,7 @@ are unchanged) and all reported losses are mapped back to the raw scale.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import time
@@ -258,7 +259,7 @@ class GridSearchResult:
 
 
 def _run_trial(net_template, table, splits, config, lr):
-    trial_net = net_template.clone()
+    trial_net = copy.deepcopy(net_template)
     cfg = replace(config, learning_rate=lr)
     try:
         result = train(trial_net, table, splits, cfg)

@@ -166,6 +166,20 @@ class TestTrainCommand:
         assert argv[1] in capsys.readouterr().err
         assert not out.exists()   # so no manifest.json either
 
+    @pytest.mark.parametrize("argv, field", [(["train", "--batch", "0"], "batch"),
+                                             (["train", "--order", "-1"], "order"),
+                                             (["train", "--max-epochs", "0"], "max_epochs"),
+                                             (["train", "--l1", "-1"], "l1"),
+                                             (["hist", "--bins", "0"], "bins"),
+                                             (["sweep-order", "--patience", "0"], "patience")],
+                             ids=["batch", "order", "max-epochs", "l1", "bins", "patience"])
+    def test_out_of_range_flag_fails_before_the_output_directory(self, small_csv, tmp_path,
+                                                                 capsys, argv, field):
+        out = tmp_path / "x"
+        assert main(argv + ["--data", small_csv, "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()   # so no manifest.json either
+
     def test_missing_data_flag(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "x")]) == 1
         assert "--data" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Network composition, auto-configuration, gradients, and model files."""
 
 import base64
+import copy
 import json
 import tracemalloc
 
@@ -30,9 +31,7 @@ from kanreg.network import (
     init_mlp,
     init_network,
     load_model,
-    mlp_backward,
     mlp_dims,
-    mlp_forward,
     params_of,
     predict,
     save_model,
@@ -127,6 +126,17 @@ class TestInit:
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
 
+# One network of each layer kind forward and backward run: coefficient, wavelet, dense.
+LAYER_KINDS = pytest.mark.parametrize("kind", ["taylor", "wavelet", "mlp"])
+
+
+def _net_of(kind, dims, seed):
+    if kind == "mlp":
+        return init_mlp(dims, Rng(seed))
+    spec = BasisSpec.wavelet() if kind == "wavelet" else BasisSpec.taylor(2)
+    return init_network(dims, spec, Rng(seed))
+
+
 def _zero_like(net):
     for layer in net.layers:
         layer.coeffs[...] = 0.0
@@ -176,11 +186,16 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(net, np.ones((3, 4)))
 
-    def test_overflow_raises_numeric_error_with_layer(self):
-        net = init_network([1, 1, 1], BasisSpec.taylor(2), Rng(0))
-        net.layers[0].coeffs[...] = 1e200   # first layer output ~1e200
-        net.layers[1].coeffs[...] = 1.0     # second squares it -> inf
-        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+    @LAYER_KINDS
+    def test_overflow_raises_numeric_error_with_layer(self, kind):
+        net = _net_of(kind, [1, 1, 1], 0)
+        if kind == "mlp":
+            for w in net.weights:
+                w[...] = 1e200              # layer 0 outputs 2e200, layer 1 inf
+        else:
+            net.layers[0].coeffs[...] = 1e200   # first layer output ~1e200
+            net.layers[1].coeffs[...] = 1.0     # taylor squares it -> inf, wavelet -> nan
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc:
             forward(net, np.array([[2.0]]))
         assert exc.value.layer == 1
 
@@ -249,9 +264,10 @@ class TestBackward:
         # gradient of the sum over the batch: sum of x
         assert grads.arrays[0][0, 0, 1] == pytest.approx(0.7 - 1.3, abs=1e-15)
 
-    def test_stale_cache_rejected(self):
-        net_a = init_network([3, 1], BasisSpec.taylor(2), Rng(0))
-        net_b = init_network([3, 1], BasisSpec.taylor(2), Rng(1))
+    @LAYER_KINDS
+    def test_stale_cache_rejected(self, kind):
+        net_a = _net_of(kind, [3, 1], 0)
+        net_b = _net_of(kind, [3, 1], 1)
         x = np.ones((2, 3))
         _, cache = forward(net_a, x)
         with pytest.raises(ContractError):
@@ -259,8 +275,9 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(net_a, None, np.ones(2))
 
-    def test_out_grads_length_checked(self):
-        net = init_network([3, 1], BasisSpec.taylor(2), Rng(0))
+    @LAYER_KINDS
+    def test_out_grads_length_checked(self, kind):
+        net = _net_of(kind, [3, 1], 0)
         _, cache = forward(net, np.ones((2, 3)))
         with pytest.raises(ShapeError):
             backward(net, cache, np.ones(5))
@@ -296,7 +313,7 @@ class TestBackward:
         for layer in net.layers:
             layer.scales[:] = rng.uniform(0.5, 2.0, size=layer.scales.shape)
             layer.shifts[:] = rng.uniform(-0.5, 0.5, size=layer.shifts.shape)
-        clone = net.clone()
+        clone = copy.deepcopy(net)
         x = rng.normal(size=(6, 4))
         _, cache = forward(net, x)
         _, clone_cache = forward(clone, x)
@@ -448,38 +465,31 @@ class TestMlp:
         net = init_mlp([4, 3, 1], Rng(0))
         for w in net.weights:
             w[...] = 0.0
-        out, _ = mlp_forward(net, np.random.default_rng(0).normal(size=(5, 4)))
+        out, _ = forward(net, np.random.default_rng(0).normal(size=(5, 4)))
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_linear_slice_oracle(self):
         net = init_mlp([2, 1], Rng(0))
         net.weights[0][...] = [[2.0, -1.0]]
         net.biases[0][...] = [0.5]
-        out, _ = mlp_forward(net, np.array([[1.0, 1.0], [0.0, 2.0]]))
+        out, _ = forward(net, np.array([[1.0, 1.0], [0.0, 2.0]]))
         np.testing.assert_allclose(out, [1.5, -1.5], atol=1e-15)
 
     def test_relu_hidden_layer(self):
         net = init_mlp([1, 1, 1], Rng(0))
         net.weights[0][...] = [[1.0]]
         net.weights[1][...] = [[1.0]]
-        out, _ = mlp_forward(net, np.array([[-3.0], [2.0]]))
+        out, _ = forward(net, np.array([[-3.0], [2.0]]))
         np.testing.assert_allclose(out, [0.0, 2.0], atol=1e-15)
 
     def test_finite_difference(self):
         net = init_mlp([5, 8, 4, 1], Rng(29))
         x = np.random.default_rng(31).normal(size=(16, 5))
-        out, cache = mlp_forward(net, x)
-        grads = mlp_backward(net, cache, np.ones_like(out))
+        out, cache = forward(net, x)
+        grads = backward(net, cache, np.ones_like(out))
         fd = _fd_param_grads(net, x)
         ok, total = _grad_agreement(fd, grads.arrays, 1e-4, 1e-7)
         assert ok == total
-
-    def test_forward_dispatch(self):
-        net = init_mlp([3, 2, 1], Rng(1))
-        x = np.random.default_rng(1).normal(size=(4, 3))
-        d_out, _ = forward(net, x, want_cache=False)
-        m_out, _ = mlp_forward(net, x, want_cache=False)
-        np.testing.assert_array_equal(d_out, m_out)
 
 
 def _v1_doc(bundle):
@@ -524,7 +534,7 @@ class TestModelFiles:
     def test_mlp_round_trip(self, tmp_path):
         net = init_mlp([6, 4, 1], Rng(47))
         probe = np.random.default_rng(48).normal(size=(5, 6))
-        expect, _ = mlp_forward(net, probe, want_cache=False)
+        expect, _ = forward(net, probe, want_cache=False)
         path = tmp_path / "mlp.json"
         save_model(path, ModelBundle(net=net))
         got, _ = forward(load_model(path).net, probe, want_cache=False)
@@ -646,7 +656,13 @@ class TestModelFiles:
     @pytest.mark.parametrize("field, value", [
         ("layer_dims", ["x", 1]), ("layer_dims", [3.0, 1]), ("standardizer", {"stds": [1.0]}),
         ("pca", {"mean": [0.0]}), ("meta", [1]), ("basis", {"family": "taylor"}),
-        ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}})])
+        ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}}),
+        ("standardizer", {"means": [0.0] * 6, "stds": [1.0] * 3}),
+        ("feature_scaler", {"means": [0.0] * 3, "stds": [1.0] * 2}),
+        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0]], "eigenvalues": [1.0] * 3,
+                 "k": 1}),
+        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0, 0.0]],
+                 "eigenvalues": [1.0] * 3, "k": 2})])
     def test_malformed_fields_are_named_format_errors(self, field, value, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(113))
         path = tmp_path / "model.json"

@@ -6,8 +6,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from kanreg import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+RUNNER = ROOT / "perfbench" / "run.py"
 PACKAGE = ROOT / "src" / "kanreg"
 
 
@@ -16,6 +19,23 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_argv_parses_and_resolves(monkeypatch, tmp_path):
+    # The benchmark drives the CLI with fixed argv; a renamed flag or a new
+    # check in _resolve must fail here, not only in a benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUNNER)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    out = str(tmp_path / "out")
+    argvs = [run.Bench(w, 1, run.TINY, str(tmp_path)).args(out) for w in run.WORKLOADS]
+    argvs.append(run.Bench("score-heldout", 1, run.TINY, str(tmp_path))
+                 .train_args("fullwidth-chebyshev", out))
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        cli._resolve(args, args.command)
+    assert not (tmp_path / "out").exists()
 
 
 def test_tracer_wraps_bindings_that_exist():
