@@ -51,6 +51,9 @@ FAMILIES = (
 SQUASHED_FAMILIES = frozenset(
     {"chebyshev", "jacobi", "hermite", "fourier", "bspline", "bsrbf"})
 
+# Families whose basis function 0 is the constant 1 (see network.BIAS_MIN).
+CONSTANT_FIRST_FAMILIES = frozenset({"taylor", "chebyshev", "jacobi", "hermite", "fourier"})
+
 _RBF_CENTERS_WIDE = tuple(float(c) for c in np.linspace(-2.0, 2.0, 8))
 _RBF_CENTERS_UNIT = tuple(float(c) for c in np.linspace(-1.0, 1.0, 8))
 
@@ -216,7 +219,7 @@ def basis_size(spec: BasisSpec) -> int:
     return 1  # wavelet_mexican_hat: one amplitude per edge
 
 
-# Kernels: (flat float64 x, validated spec) -> (values [m, b], derivative).
+# Kernels: (float64 x [rows, cols], spec) -> (basis-major values [rows, b, cols], derivative).
 
 def _appell_derivative(vals: np.ndarray):
     """d/dx of a sequence with p_j' = j p_{j-1} (monomials, Hermite)."""
@@ -231,7 +234,7 @@ def _appell_derivative(vals: np.ndarray):
 def _taylor(xf: np.ndarray, spec: BasisSpec):
     """Monomials ``(x - center)^j`` for j = 0..order."""
     u = xf - spec.center
-    vals = np.empty((xf.size, spec.order + 1))
+    vals = np.empty((len(xf), spec.order + 1, xf.shape[1]))
     vals[:, 0] = 1.0
     for j in range(1, spec.order + 1):
         vals[:, j] = vals[:, j - 1] * u
@@ -244,7 +247,7 @@ def _chebyshev(xf: np.ndarray, spec: BasisSpec):
 
     def table(p1: np.ndarray, size: int) -> np.ndarray:
         """p_0 = 1, p_1 = p1, p_n = 2x p_{n-1} - p_{n-2}, for n < size."""
-        p = np.empty((xf.size, size))
+        p = np.empty((len(xf), size, xf.shape[1]))
         p[:, :1] = 1.0
         p[:, 1:2] = p1[:, None]
         for n in range(2, size):
@@ -252,15 +255,15 @@ def _chebyshev(xf: np.ndarray, spec: BasisSpec):
         return p
 
     def derivative():
-        d = np.zeros((xf.size, b))
-        d[:, 1:] = np.arange(1, b) * table(2.0 * xf, b - 1)
+        d = np.zeros((len(xf), b, xf.shape[1]))
+        d[:, 1:] = np.arange(1, b)[:, None] * table(2.0 * xf, b - 1)
         return d
     return table(xf, b), derivative
 
 
 def _jacobi_table(xf: np.ndarray, n_max: int, alpha: float, beta: float) -> np.ndarray:
     """P_0..P_n^(alpha, beta) at xf via the three-term recurrence."""
-    p = np.empty((xf.size, n_max + 1))
+    p = np.empty((len(xf), n_max + 1, xf.shape[1]))
     p[:, 0] = 1.0
     if n_max >= 1:
         p[:, 1] = 0.5 * (alpha - beta) + 0.5 * (alpha + beta + 2.0) * xf
@@ -280,7 +283,7 @@ def _jacobi(xf: np.ndarray, spec: BasisSpec):
     b = n_max + 1
 
     def derivative():
-        d = np.zeros((xf.size, b))
+        d = np.zeros((len(xf), b, xf.shape[1]))
         if n_max >= 1:
             shifted = _jacobi_table(xf, n_max - 1, alpha + 1.0, beta + 1.0)
             for n in range(1, b):
@@ -291,7 +294,7 @@ def _jacobi(xf: np.ndarray, spec: BasisSpec):
 
 def _hermite(xf: np.ndarray, spec: BasisSpec):
     """Probabilists' Hermite He_0..He_n; dHe_n/dx = n He_{n-1}."""
-    vals = np.empty((xf.size, spec.n_max + 1))
+    vals = np.empty((len(xf), spec.n_max + 1, xf.shape[1]))
     vals[:, 0] = 1.0
     if spec.n_max >= 1:
         vals[:, 1] = xf
@@ -302,7 +305,7 @@ def _hermite(xf: np.ndarray, spec: BasisSpec):
 
 def _gaussian_rbf(xf: np.ndarray, spec: BasisSpec):
     """Gaussian bumps exp(-u^2), u = (x - c)/h, one per center."""
-    u = (xf[:, None] - np.array(spec.centers)) / spec.bandwidth
+    u = (xf[:, None] - np.array(spec.centers)[:, None]) / spec.bandwidth
     vals = np.exp(-u * u)
     return vals, lambda: (-2.0 / spec.bandwidth) * u * vals
 
@@ -317,12 +320,12 @@ def _bspline(xf: np.ndarray, spec: BasisSpec):
     """
     grid_size, degree = spec.grid_size, spec.degree
     h = 2.0 / grid_size
-    t = (np.arange(grid_size + 2 * degree + 1) - degree) * h - 1.0
-    m = t.size
+    t = ((np.arange(grid_size + 2 * degree + 1) - degree) * h - 1.0)[:, None]
+    m = len(t)
     cell = np.floor((xf + 1.0) / h).astype(np.int64) + degree
     cell = np.clip(cell, degree, degree + grid_size - 1)
-    level = np.zeros((xf.size, m - 1))
-    level[np.arange(xf.size), cell] = 1.0
+    level = np.zeros((len(xf), m - 1, xf.shape[1]))
+    np.put_along_axis(level, cell[:, None], 1.0, axis=1)
     xcol = xf[:, None]
     prev = level
     for k in range(1, degree + 1):
@@ -357,7 +360,7 @@ def _fourier(xf: np.ndarray, spec: BasisSpec):
     """[1, cos(pi x), sin(pi x), ..., cos(N pi x), sin(N pi x)]."""
     n_harmonics = spec.n_harmonics
     b = 2 * n_harmonics + 1
-    vals = np.empty((xf.size, b))
+    vals = np.empty((len(xf), b, xf.shape[1]))
     vals[:, 0] = 1.0
     for n in range(1, n_harmonics + 1):
         ang = n * np.pi * xf
@@ -365,7 +368,7 @@ def _fourier(xf: np.ndarray, spec: BasisSpec):
         vals[:, 2 * n] = np.sin(ang)
 
     def derivative():
-        d = np.zeros((xf.size, b))
+        d = np.zeros((len(xf), b, xf.shape[1]))
         for n in range(1, n_harmonics + 1):
             w = n * np.pi
             d[:, 2 * n - 1] = -w * vals[:, 2 * n]
@@ -392,18 +395,22 @@ def evaluate_basis(spec: BasisSpec, x):
     Returns ``(values, derivative)``: values has shape ``x.shape + (b,)``
     and ``derivative()`` returns the exact analytic input derivative in the
     same shape, built from ``x`` and the arrays this call made (so change
-    ``x`` in place only after calling it). ``wavelet_mexican_hat`` is
-    not a coefficient family (its parameters live on network edges); use
-    :func:`mexican_hat` for it.
+    ``x`` in place only after calling it). Both are views of basis-major
+    arrays: ``values.swapaxes(-1, -2)`` is C-contiguous.
+    ``wavelet_mexican_hat`` is not a coefficient family (its parameters live
+    on network edges); use :func:`mexican_hat` for it.
     """
     kernel = _KERNELS.get(spec.family)
     if kernel is None:
         raise ParameterError(
             f"{spec.family!r} has no fixed basis vector; evaluate it per edge instead")
     xa = np.asarray(x, dtype=np.float64)
-    vals, derivative = kernel(xa.reshape(-1), spec)
-    shape = xa.shape + (vals.shape[1],)
-    return vals.reshape(shape), lambda: derivative().reshape(shape)
+    lead, cols = (xa.shape[:-1], xa.shape[-1]) if xa.ndim else ((), 1)
+    vals, derivative = kernel(xa.reshape(math.prod(lead), cols), spec)
+
+    def public(a):  # [rows, b, cols] -> x.shape + (b,), without a copy
+        return a.swapaxes(1, 2).reshape(xa.shape + (a.shape[1],))
+    return public(vals), lambda: public(derivative())
 
 
 def mexican_hat(x, scale, shift):
@@ -429,7 +436,7 @@ def mexican_hat(x, scale, shift):
 
     def derivatives():
         e, psi = psi_of_u()
-        dpsi = MEXICAN_HAT_PEAK * e * (u ** 3 - 3.0 * u)
+        dpsi = MEXICAN_HAT_PEAK * e * (u * u * u - 3.0 * u)
         d_x = inv_sqrt_s * dpsi / s
         return d_x, -(inv_sqrt_s / s) * (0.5 * psi + u * dpsi)
     return inv_sqrt_s * psi_of_u()[1], derivatives

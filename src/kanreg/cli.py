@@ -167,6 +167,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         _train_config(resolved)
     if resolved.get("bins", 1) < 1:
         raise ParameterError(f"--bins must be >= 1, got {resolved['bins']}")
+    if resolved.get("lr") is not None and not resolved["lr"] > 0.0:  # NaN too
+        raise ParameterError(f"--lr must be positive, got {resolved['lr']}")
     for key, rule in _LIST_FLAGS.items():
         if key == "lr_grid" and resolved.get(key) == "default":
             resolved[key] = DEFAULT_LR_GRID

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, basis_size, evaluate_basis, mexican_hat
+from .basis import CONSTANT_FIRST_FAMILIES, BasisSpec, basis_size, evaluate_basis, mexican_hat
 from .errors import (ContractError, FormatError, NumericError, ParameterError,
                      ParseError, ShapeError, UnsupportedVersionError)
 from .linalg import Rng
@@ -37,7 +37,7 @@ _READABLE_VERSIONS = (1, 2)
 class KanLayer:
     in_dim: int
     out_dim: int
-    coeffs: np.ndarray                    # [out_dim, in_dim, basis_size]
+    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim], C-contiguous
     scales: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
     shifts: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
 
@@ -131,8 +131,8 @@ def init_network(dims, spec: BasisSpec, rng: Rng) -> KanNetwork:
     """Fresh network with coefficients i.i.d. uniform on +-sqrt(6/(in*b + out)).
 
     Draw order is fixed (layer by layer, coefficients row-major over
-    ``[out, in, b]``) so a given seed always produces the same network.
-    Wavelet edges start at scale 1 and shift 0.
+    ``[out, in, b]``, then stored as ``[out, b, in]``) so a given seed always
+    produces the same network. Wavelet edges start at scale 1 and shift 0.
     """
     dims = _check_dims(dims)
     b = basis_size(spec)
@@ -143,7 +143,8 @@ def init_network(dims, spec: BasisSpec, rng: Rng) -> KanNetwork:
         coeffs = (2.0 * rng.uniforms(dout * din * b).reshape(dout, din, b) - 1.0) * bound
         scales = np.ones((dout, din)) if wavelet else None
         shifts = np.zeros((dout, din)) if wavelet else None
-        layers.append(KanLayer(din, dout, coeffs, scales, shifts))
+        layers.append(KanLayer(din, dout, np.ascontiguousarray(coeffs.transpose(0, 2, 1)),
+                               scales, shifts))
     return KanNetwork(spec=spec, layers=layers)
 
 
@@ -213,6 +214,12 @@ def _row_chunks(net, n: int, width: int = 1) -> list[slice]:
     return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
 
+# A layer whose basis function 0 is the constant 1 leaves that column out of
+# its matmuls (its share is a bias, its derivative 0) once rows x inputs x
+# outputs reach this; below it the bias sum costs more than the column saves.
+BIAS_MIN = 2**19
+
+
 def forward(net, x, want_cache: bool = True):
     """Run the network on a batch; returns ``(outputs, cache)``.
 
@@ -243,19 +250,24 @@ def _forward_rows(net, x, want_cache: bool):
         else:
             layer = net.layers[l]
             u = np.tanh(cur) if squash else cur
+            lo = int(net.spec.family in CONSTANT_FIRST_FAMILIES  # first matmul basis column
+                     and n * layer.in_dim * layer.out_dim >= BIAS_MIN)
             if layer.scales is not None:  # wavelet
                 val, derivatives = mexican_hat(
                     u[:, None, :], layer.scales[None, :, :], layer.shifts[None, :, :])
-                out = np.einsum("oi,noi->no", layer.coeffs[:, :, 0], val)
+                out = np.einsum("oi,noi->no", layer.coeffs[:, 0], val)
             else:
                 val, derivatives = evaluate_basis(net.spec, u)
-                out = val.reshape(n, -1) @ layer.coeffs.reshape(layer.out_dim, -1).T
+                val = val.swapaxes(1, 2)  # the basis-major [n, b, in] it was built as
+                out = val[:, lo:].reshape(n, -1) @ layer.coeffs[:, lo:].reshape(layer.out_dim, -1).T
+                if lo:
+                    out += layer.coeffs[:, 0].sum(axis=1)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite activation in forward pass", layer=l)
         if want_cache:  # backward calls derivatives() only for layers it differentiates
             layer_data.append({"input": u, "pre": cur} if dense else
                               {"squashed": u if squash else None, "values": val,
-                               "derivatives": derivatives})
+                               "derivatives": derivatives, "lo": lo})
         cur = out
     cache = ForwardCache(net=net, n=n, layer_data=layer_data) if want_cache else None
     return cur[:, 0], cache
@@ -289,15 +301,20 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             per_layer[l] = [grad.T @ data["input"], grad.sum(axis=0)]
         elif layer.scales is not None:  # wavelet
             d_x, d_scale = data["derivatives"]()
-            coeff_grad = np.einsum("no,noi->oi", grad, data["values"])[:, :, None]
-            common = grad[:, :, None] * layer.coeffs[:, :, 0][None, :, :]
+            coeff_grad = np.einsum("no,noi->oi", grad, data["values"])[:, None, :]
+            common = grad[:, :, None] * layer.coeffs[:, 0][None, :, :]
             scale_grad = np.einsum("noi,noi->oi", common, d_scale)
             shift_grad = -np.einsum("noi,noi->oi", common, d_x)  # d_shift = -d_x
             per_layer[l] = [coeff_grad, scale_grad, shift_grad]
         else:
             val = data["values"]
-            n = val.shape[0]
-            per_layer[l] = [(grad.T @ val.reshape(n, -1)).reshape(layer.coeffs.shape)]
+            n, lo = val.shape[0], data["lo"]
+            coeff_grad = np.empty(layer.coeffs.shape)
+            np.matmul(grad.T, val[:, lo:].reshape(n, -1),
+                      out=coeff_grad[:, lo:].reshape(layer.out_dim, -1))
+            if lo:
+                coeff_grad[:, 0] = grad.sum(axis=0)[:, None]
+            per_layer[l] = [coeff_grad]
         if l == 0:
             break
         # the gradient with respect to layer l's input
@@ -307,8 +324,8 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         if layer.scales is not None:
             du = np.einsum("noi,noi->ni", common, d_x)
         else:
-            p = (grad @ layer.coeffs.reshape(layer.out_dim, -1)).reshape(val.shape)
-            du = np.sum(p * data["derivatives"](), axis=-1)
+            p = (grad @ layer.coeffs[:, lo:].reshape(layer.out_dim, -1)).reshape(n, -1, layer.in_dim)
+            du = np.sum(p * data["derivatives"]().swapaxes(1, 2)[:, lo:], axis=1)
         if squash:
             u = data["squashed"]
             grad = du * (1.0 - u * u)
@@ -362,7 +379,8 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 # Model files: versioned JSON. Version 2 stores each float array as a block
 # {"dtype": "<f8", "shape": [...], "data": base64 of the little-endian C-order
 # bytes}, so values round-trip bit for bit and reruns are byte-identical;
-# scalars stay JSON numbers (Python's float repr round-trips exactly).
+# scalars stay JSON numbers (Python's float repr round-trips exactly). Edge
+# coefficients are stored [out, in, b], the transpose of KanLayer.coeffs.
 # Version 1 files, which hold nested lists instead, still load.
 
 def _block(arr, name: str) -> dict:
@@ -390,7 +408,7 @@ def save_model(path, model: ModelBundle) -> None:
         doc["family"] = net.spec.family
         doc["basis"] = net.spec.to_dict()
         doc["layer_dims"] = net.dims
-        put_blocks("coeffs", [layer.coeffs for layer in net.layers])
+        put_blocks("coeffs", [layer.coeffs.transpose(0, 2, 1) for layer in net.layers])
         if net.spec.family == "wavelet_mexican_hat":
             put_blocks("wavelet_scales", [layer.scales for layer in net.layers])
             put_blocks("wavelet_shifts", [layer.shifts for layer in net.layers])
@@ -521,7 +539,8 @@ def load_model(path) -> ModelBundle:
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"basis is invalid: {e!r}") from None
         b = basis_size(spec)
-        coeffs = _layer_blocks(doc, "coeffs", [edge + (b,) for edge in edges])
+        coeffs = [np.ascontiguousarray(c.transpose(0, 2, 1))
+                  for c in _layer_blocks(doc, "coeffs", [edge + (b,) for edge in edges])]
         scales = shifts = [None] * len(edges)
         if spec.family == "wavelet_mexican_hat":
             scales = _layer_blocks(doc, "wavelet_scales", edges)

@@ -24,14 +24,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import FeatureTable, SplitIndices
-from .errors import (DivergedError, InsufficientDataError, NumericError,
-                     ParameterError, UndefinedCorrelationError)
+from .errors import (ContractError, DivergedError, InsufficientDataError,
+                     NumericError, ParameterError, UndefinedCorrelationError)
 from .linalg import Rng
 from .metrics import plcc, srcc
 from .network import KanNetwork, backward, forward, params_of
 
 DEFAULT_LR_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 _WAVELET_SCALE_FLOOR = 1e-3
+# Adam updates a parameter larger than this many elements in flat slices of
+# this size, so its work arrays stay in cache instead of spanning the array.
+ADAM_SLICE = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class AdamState:
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
-    # two work arrays per parameter, allocated by the first adam_step
+    # two work arrays per parameter (one slice long if it is larger), made by the first step
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
@@ -79,17 +82,19 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
     The update is ``p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)``,
     evaluated in that operation order into the state's scratch arrays so
-    that no step allocates.
+    that no step allocates. A C-contiguous parameter larger than ``ADAM_SLICE``
+    is updated one flat slice at a time, with the same result.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params, grads, and Adam state are misaligned")
     if not state.scratch:
-        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) if p.size <= ADAM_SLICE
+                         else (np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)) for p in params]
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+    for p, g, m, v, a, b in _adam_slices(params, grads, state):
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=a)
         m += a
@@ -105,6 +110,20 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         a /= b
         p -= a
     return params
+
+
+def _adam_slices(params, grads, state: AdamState):
+    """``(p, g, m, v, a, b)`` per parameter, or per flat slice of a large one."""
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        if p.size <= ADAM_SLICE:
+            yield p, g, m, v, a, b
+        elif not p.flags.c_contiguous:  # reshape would copy, and the update be lost
+            raise ContractError("Adam updates a large parameter in place; it must be C-contiguous")
+        else:
+            flat = [x.reshape(-1) for x in (p, g, m, v)]
+            for lo in range(0, p.size, ADAM_SLICE):
+                k = min(ADAM_SLICE, p.size - lo)
+                yield *(x[lo:lo + k] for x in flat), a[:k], b[:k]
 
 
 @dataclass

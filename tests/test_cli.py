@@ -171,8 +171,11 @@ class TestTrainCommand:
                                              (["train", "--max-epochs", "0"], "max_epochs"),
                                              (["train", "--l1", "-1"], "l1"),
                                              (["hist", "--bins", "0"], "bins"),
-                                             (["sweep-order", "--patience", "0"], "patience")],
-                             ids=["batch", "order", "max-epochs", "l1", "bins", "patience"])
+                                             (["sweep-order", "--patience", "0"], "patience"),
+                                             (["train", "--lr", "0"], "lr"),
+                                             (["train", "--lr", "nan"], "lr")],
+                             ids=["batch", "order", "max-epochs", "l1", "bins", "patience",
+                                  "lr-zero", "lr-nan"])
     def test_out_of_range_flag_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                                  capsys, argv, field):
         out = tmp_path / "x"
@@ -448,7 +451,7 @@ def _linear_probe_bundle(d, slope, offset):
     net = init_network([d, 1], BasisSpec.taylor(1), Rng(0))
     for layer in net.layers:
         layer.coeffs[...] = 0.0
-    net.layers[0].coeffs[0, 0, 1] = slope
+    net.layers[0].coeffs[0, 1, 0] = slope
     std = Standardizer(means=np.zeros(d), stds=np.ones(d), epsilon=0.0)
     return ModelBundle(net=net, standardizer=std, target_mean=offset,
                        target_std=1.0, meta={"basis": f"probe{slope:g}"})

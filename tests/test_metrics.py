@@ -297,7 +297,7 @@ def _passthrough_bundle(d):
     net = init_network([d, 1], BasisSpec.taylor(1), Rng(0))
     for layer in net.layers:
         layer.coeffs[...] = 0.0
-    net.layers[0].coeffs[0, 0, 1] = 1.0
+    net.layers[0].coeffs[0, 1, 0] = 1.0
     return ModelBundle(net=net)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kanreg import network
-from kanreg.basis import FAMILIES, BasisSpec, basis_size
+from kanreg.basis import FAMILIES, BasisSpec, basis_size, evaluate_basis
 from kanreg.data import Standardizer
 from kanreg.errors import (
     ContractError,
@@ -106,7 +106,7 @@ class TestInit:
 
     def test_parameter_count_shape(self):
         net = init_network([4, 2], BasisSpec.taylor(2), Rng(3))
-        assert net.layers[0].coeffs.shape == (2, 4, 3)
+        assert net.layers[0].coeffs.shape == (2, 3, 4)
         assert net.layers[0].coeffs.size == 24
 
     def test_wavelet_scale_shift_init(self):
@@ -152,7 +152,7 @@ class TestForward:
 
     def test_single_edge_polynomial(self):
         net = init_network([1, 1], BasisSpec.taylor(2), Rng(0))
-        net.layers[0].coeffs[0, 0] = [0.5, -1.0, 2.0]
+        net.layers[0].coeffs[0, :, 0] = [0.5, -1.0, 2.0]
         xs = np.array([[0.0], [1.0], [-0.5]])
         out, _ = forward(net, xs)
         expect = 0.5 - 1.0 * xs[:, 0] + 2.0 * xs[:, 0] ** 2
@@ -160,8 +160,8 @@ class TestForward:
 
     def test_two_edge_sum(self):
         net = init_network([2, 1], BasisSpec.taylor(1), Rng(0))
-        net.layers[0].coeffs[0, 0] = [0.0, 1.0]
-        net.layers[0].coeffs[0, 1] = [0.0, 1.0]
+        net.layers[0].coeffs[0, :, 0] = [0.0, 1.0]
+        net.layers[0].coeffs[0, :, 1] = [0.0, 1.0]
         xs = np.array([[1.5, -2.0], [0.25, 0.75]])
         out, _ = forward(net, xs)
         np.testing.assert_allclose(out, xs.sum(axis=1), atol=1e-15)
@@ -262,7 +262,7 @@ class TestBackward:
         _, cache = forward(net, xs)
         grads = backward(net, cache, np.ones(2))
         # gradient of the sum over the batch: sum of x
-        assert grads.arrays[0][0, 0, 1] == pytest.approx(0.7 - 1.3, abs=1e-15)
+        assert grads.arrays[0][0, 1, 0] == pytest.approx(0.7 - 1.3, abs=1e-15)
 
     @LAYER_KINDS
     def test_stale_cache_rejected(self, kind):
@@ -344,6 +344,73 @@ class TestBackward:
         assert ok_loose == total, f"{family}: {total - ok_loose} params beyond 1e-3"
 
 
+def _einsum_reference(net, x, w):
+    """Output and coefficient gradients of ``sum(w * output)`` by einsum.
+
+    Built from the public ``[n, in, b]`` basis values and the coefficients
+    read in ``[out, in, b]`` order, independently of the layer's matmuls.
+    """
+    squash = net.spec.squashes_input()
+    cur, seen = x, []
+    for layer in net.layers:
+        u = np.tanh(cur) if squash else cur
+        vals, derivative = evaluate_basis(net.spec, u)
+        seen.append((u, vals, derivative()))
+        cur = np.einsum("nib,oib->no", vals, layer.coeffs.transpose(0, 2, 1))
+    grad, grads = w[:, None], []
+    for layer, (u, vals, dvals) in zip(net.layers[::-1], seen[::-1]):
+        grads.insert(0, np.einsum("no,nib->oib", grad, vals).transpose(0, 2, 1))
+        grad = np.einsum("no,oib,nib->ni", grad, layer.coeffs.transpose(0, 2, 1), dvals)
+        grad = grad * (1.0 - u * u) if squash else grad
+    return cur[:, 0], grads
+
+
+class TestCoefficientLayout:
+    # Coefficients live as [out, b, in]; the matmuls leave out a constant
+    # basis column only above network.BIAS_MIN, so 0 forces that path here.
+    @pytest.mark.parametrize("bias_min", [0, None], ids=["split", "whole"])
+    @pytest.mark.parametrize("family", sorted(set(ALL_SPECS) - {"wavelet_mexican_hat"}))
+    def test_layers_match_einsum_reference(self, family, bias_min, monkeypatch):
+        if bias_min is not None:
+            monkeypatch.setattr(network, "BIAS_MIN", bias_min)
+        net = init_network([6, 5, 1], ALL_SPECS[family], Rng(4))
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(7, 6))
+        w = rng.normal(size=7)
+        out, cache = forward(net, x)
+        grads = backward(net, cache, w).arrays
+        want_out, want_grads = _einsum_reference(net, x, w)
+        for got, want in zip([out] + grads, [want_out] + want_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_model_file_holds_out_in_b(self, tmp_path):
+        net = init_network([5, 3, 1], BasisSpec.chebyshev(3), Rng(2))
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net))
+        block = json.loads(path.read_text())["coeffs"][0]
+        assert block["shape"] == [3, 5, 4]
+        data = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").reshape(3, 5, 4)
+        np.testing.assert_array_equal(data, net.layers[0].coeffs.transpose(0, 2, 1))
+
+    def test_v2_document_loads_as_the_transpose(self, tmp_path):
+        def block(a):
+            return {"dtype": "<f8", "shape": list(a.shape),
+                    "data": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+        first = np.arange(60.0).reshape(3, 5, 4)      # [out, in, b]
+        second = -np.arange(12.0).reshape(1, 3, 4)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "kanreg-model", "version": 2, "family": "chebyshev",
+            "basis": BasisSpec.chebyshev(3).to_dict(), "layer_dims": [5, 3, 1],
+            "coeffs": [block(first), block(second)]}))
+        layers = load_model(path).net.layers
+        for layer, want in zip(layers, (first, second)):
+            np.testing.assert_array_equal(layer.coeffs, want.transpose(0, 2, 1))
+            assert layer.coeffs.flags.c_contiguous
+
+
 def _inference_peak_bytes(net, x) -> int:
     tracemalloc.start()
     try:
@@ -423,7 +490,7 @@ class TestChunkedInference:
 
     def test_overflow_in_a_later_chunk_names_the_layer(self, monkeypatch):
         net = init_network([1, 1, 1], BasisSpec.taylor(2), Rng(0))
-        net.layers[0].coeffs[...] = [0.0, 1e200, 0.0]  # output ~1e200 * x
+        net.layers[0].coeffs[0, :, 0] = [0.0, 1e200, 0.0]  # output ~1e200 * x
         net.layers[1].coeffs[...] = 1.0                # squares it -> inf
         monkeypatch.setattr(network, "CHUNK_BYTES", 8 * 3 * 4)  # 4 rows a chunk
         x = np.zeros((9, 1))
@@ -498,7 +565,7 @@ def _v1_doc(bundle):
     doc = {"format": "kanreg-model", "version": 1}
     if isinstance(net, KanNetwork):
         doc.update(family=net.spec.family, basis=net.spec.to_dict(), layer_dims=net.dims,
-                   coeffs=[layer.coeffs.tolist() for layer in net.layers])
+                   coeffs=[layer.coeffs.transpose(0, 2, 1).tolist() for layer in net.layers])
         if net.spec.family == "wavelet_mexican_hat":
             doc["wavelet_scales"] = [layer.scales.tolist() for layer in net.layers]
             doc["wavelet_shifts"] = [layer.shifts.tolist() for layer in net.layers]
@@ -609,7 +676,7 @@ class TestModelFiles:
         clean = json.loads(path.read_text())
         load_model(path)
         doc = json.loads(json.dumps(clean))
-        coeffs = net.layers[0].coeffs.copy()
+        coeffs = net.layers[0].coeffs.transpose(0, 2, 1).copy()
         coeffs[0, 1, 2] = np.nan
         doc["coeffs"][0]["data"] = base64.b64encode(coeffs.astype("<f8").tobytes()).decode()
         rejected(doc, r"coeffs\[0\] holds non-finite")

@@ -1,12 +1,15 @@
 """Guards for the benchmark tooling and the package's dependency rule."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import kanreg
 from kanreg import cli
+from kanreg.data import make_synthetic, save_table
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -51,6 +54,26 @@ def test_tracer_wraps_bindings_that_exist():
         if not callable(owner.__dict__.get(attr)):
             missing.append(f"{module_path}.{attr}")
     assert missing == []
+
+
+def test_tracer_attributes_a_training_run_to_each_layer(tmp_path, capsys):
+    # The per-layer metrics of `--trace 1` come from wrapped bindings; a
+    # refactor that routes around one would read 0 there, so fail here.
+    data = tmp_path / "t.bin"
+    save_table(make_synthetic(40, 6, 2, 0.0, "quadratic", 1), data)
+    tracer = _load_tracer().Tracer()
+    tracer.install(kanreg)
+    try:
+        code = tracer.call("cli", cli.main, [
+            "train", "--basis", "chebyshev", "--order", "3", "--tau", "1.0", "--lr", "1e-3",
+            "--max-epochs", "2", "--data", str(data), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = collections.Counter(tracer.names)
+    for name in ("training.adam_step", "network.forward", "network.backward",
+                 "basis.evaluate"):
+        assert calls[name] >= 1, name
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

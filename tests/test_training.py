@@ -1,6 +1,7 @@
 """Optimizer, training loop, early stopping, and the learning-rate grid."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from kanreg.data import (
     make_synthetic,
     split,
 )
-from kanreg.errors import DivergedError, InsufficientDataError, ParameterError
+from kanreg.errors import ContractError, DivergedError, InsufficientDataError, ParameterError
 from kanreg.linalg import Rng
 from kanreg.network import auto_configure, forward, init_network, params_of
 from kanreg.training import (
+    ADAM_SLICE,
     DEFAULT_LR_GRID,
     AdamState,
     TrainConfig,
@@ -137,6 +139,49 @@ class TestAdam:
                 p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
             for got, want in zip(params, ref):
                 np.testing.assert_array_equal(got, want)
+
+
+class TestAdamSlices:
+    def test_sliced_parameter_matches_textbook_bit_for_bit(self):
+        # 2.5 slices with a ragged tail, next to two arrays that fit one slice
+        rng = np.random.default_rng(29)
+        shapes = [(5, ADAM_SLICE // 2 + 7), (3,), (2, 4)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        state = init_adam(params)
+        for t in range(1, 4):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            adam_step(params, grads, state, lr, beta1, beta2, eps)
+            c1 = 1.0 - beta1 ** t
+            c2 = 1.0 - beta2 ** t
+            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
+                m[...] = beta1 * m + (1.0 - beta1) * g
+                v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            for got, want in zip(params, ref):
+                np.testing.assert_array_equal(got, want)
+
+    def test_large_parameter_needs_no_full_size_scratch(self):
+        params = [np.zeros(2**20)]
+        grads = [np.full(2**20, 0.5)]
+        state = init_adam(params)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                adam_step(params, grads, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ADAM_SLICE * 8
+
+    def test_large_parameter_must_be_contiguous(self):
+        params = [np.zeros((3, ADAM_SLICE)).T]
+        state = init_adam(params)
+        with pytest.raises(ContractError):
+            adam_step(params, [np.ones_like(params[0])], state, 1e-3)
 
 
 class TestTrain:
