@@ -37,7 +37,7 @@ _READABLE_VERSIONS = (1, 2)
 class KanLayer:
     in_dim: int
     out_dim: int
-    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim], C-contiguous
+    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim]; files: [out, in, b]
     scales: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
     shifts: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
 
@@ -214,9 +214,8 @@ def _row_chunks(net, n: int, width: int = 1) -> list[slice]:
     return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
 
-# A layer whose basis function 0 is the constant 1 leaves that column out of
-# its matmuls (its share is a bias, its derivative 0) once rows x inputs x
-# outputs reach this; below it the bias sum costs more than the column saves.
+# From this many rows x inputs x outputs on, a layer whose basis function 0 is 1 adds
+# that column as a bias outside its matmuls; below it the bias costs more than it saves.
 BIAS_MIN = 2**19
 
 
@@ -379,8 +378,7 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 # Model files: versioned JSON. Version 2 stores each float array as a block
 # {"dtype": "<f8", "shape": [...], "data": base64 of the little-endian C-order
 # bytes}, so values round-trip bit for bit and reruns are byte-identical;
-# scalars stay JSON numbers (Python's float repr round-trips exactly). Edge
-# coefficients are stored [out, in, b], the transpose of KanLayer.coeffs.
+# scalars stay JSON numbers (Python's float repr round-trips exactly).
 # Version 1 files, which hold nested lists instead, still load.
 
 def _block(arr, name: str) -> dict:

@@ -32,8 +32,7 @@ from .network import KanNetwork, backward, forward, params_of
 
 DEFAULT_LR_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 _WAVELET_SCALE_FLOOR = 1e-3
-# Adam updates a parameter larger than this many elements in flat slices of
-# this size, so its work arrays stay in cache instead of spanning the array.
+# Adam updates a larger parameter in flat slices of this many elements, in cache.
 ADAM_SLICE = 32 * 1024
 
 
