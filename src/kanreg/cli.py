@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import FAMILIES, FAMILY_FIELDS, BasisSpec
 from .data import (FeatureTable, apply_standardizer, atomic_write_text,
-                   fit_standardizer, load_table, mos_histogram, split)
+                   fit_standardizer, load_table, mos_histogram, split, utf8_error)
 from .errors import FormatError, KanregError, ParameterError, ParseError
 from .linalg import Rng
 from .metrics import EvalReport, evaluate, paired_t_test, plcc, srcc
@@ -119,6 +119,8 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
             lines = fh.readlines()
     except OSError as e:
         raise ParameterError(f"cannot read config file {path}: {e}") from None
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

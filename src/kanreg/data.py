@@ -95,8 +95,25 @@ def load_table(path, fmt: str | None = None) -> FeatureTable:
     fmt = _infer_format(path, fmt)
     name = Path(path).stem
     if fmt == "csv":
-        return _load_csv(path, name)
+        try:
+            return _load_csv(path, name)
+        except UnicodeDecodeError:  # the text layer decodes whole chunks, not lines
+            raise utf8_error(path) from None
     return _load_binary(path, name)
+
+
+def utf8_error(path) -> ParseError:
+    """A ParseError naming ``path`` and the first line in it that is not UTF-8."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ParseError(f"{path} is not UTF-8 text", line=lineno,
+                                  offset=offset + e.start)
+            offset += len(raw)
+    return ParseError(f"{path} is not UTF-8 text")
 
 
 def _load_csv(path, name: str) -> FeatureTable:

@@ -9,7 +9,7 @@ basis family (or a scaled/shifted Mexican hat for the wavelet family).
 Bounded-domain families receive tanh-squashed layer inputs; the backward
 pass carries the matching chain factor. The module also provides the
 input-size driven architecture rule, a fixed-architecture MLP baseline, and
-versioned JSON model files.
+versioned model files: a JSON header line followed by raw float64 blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,19 +26,19 @@ from .basis import CONSTANT_FIRST_FAMILIES, BasisSpec, basis_size, evaluate_basi
 from .errors import (ContractError, FormatError, NumericError, ParameterError,
                      ParseError, ShapeError, UnsupportedVersionError)
 from .linalg import Rng
-from .data import Standardizer, apply_standardizer, atomic_write_text
+from .data import Standardizer, _atomic_write, apply_standardizer, utf8_error
 from .pca import PcaModel, transform as pca_transform
 
 MODEL_FORMAT = "kanreg-model"
-MODEL_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+MODEL_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 
 
 @dataclass
 class KanLayer:
     in_dim: int
     out_dim: int
-    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim]; files: [out, in, b]
+    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim]; v1/v2 files: [out, in, b]
     scales: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
     shifts: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
 
@@ -375,27 +376,32 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model files: versioned JSON. Version 2 stores each float array as a block
-# {"dtype": "<f8", "shape": [...], "data": base64 of the little-endian C-order
-# bytes}, so values round-trip bit for bit and reruns are byte-identical;
-# scalars stay JSON numbers (Python's float repr round-trips exactly).
-# Version 1 files, which hold nested lists instead, still load.
+# Model files. Version 3 is one JSON header line, then the raw little-endian
+# C-order float64 bytes of every array back to back. In the header each array
+# is a block {"dtype": "<f8", "shape": [...], "offset": byte offset after the
+# header line}, coefficients in their memory order [out, b, in]; scalars stay
+# JSON numbers (Python's float repr round-trips exactly), so values round-trip
+# bit for bit and reruns are byte-identical. Versions 1 (nested lists) and 2
+# (base64 blocks), each a single JSON line with coefficients [out, in, b],
+# still load.
 
-def _block(arr, name: str) -> dict:
+def _block(arr, name: str, payload: list) -> dict:
     a = np.ascontiguousarray(arr, dtype="<f8")
     if not np.all(np.isfinite(a)):
         raise NumericError(f"cannot serialize non-finite values in {name}")
-    return {"dtype": "<f8", "shape": list(a.shape),
-            "data": base64.b64encode(a.data).decode("ascii")}
+    block = {"dtype": "<f8", "shape": list(a.shape), "offset": sum(p.nbytes for p in payload)}
+    payload.append(a)
+    return block
 
 
 def save_model(path, model: ModelBundle) -> None:
-    """Serialize a ModelBundle to JSON."""
+    """Serialize a ModelBundle: a JSON header line, then the raw array bytes."""
     net = model.net
     doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
+    payload: list[np.ndarray] = []
 
     def put_blocks(key, arrays):
-        doc[key] = [_block(a, f"{key}[{l}]") for l, a in enumerate(arrays)]
+        doc[key] = [_block(a, f"{key}[{l}]", payload) for l, a in enumerate(arrays)]
 
     if isinstance(net, MlpNetwork):
         doc["family"] = "mlp"
@@ -406,7 +412,7 @@ def save_model(path, model: ModelBundle) -> None:
         doc["family"] = net.spec.family
         doc["basis"] = net.spec.to_dict()
         doc["layer_dims"] = net.dims
-        put_blocks("coeffs", [layer.coeffs.transpose(0, 2, 1) for layer in net.layers])
+        put_blocks("coeffs", [layer.coeffs for layer in net.layers])
         if net.spec.family == "wavelet_mexican_hat":
             put_blocks("wavelet_scales", [layer.scales for layer in net.layers])
             put_blocks("wavelet_shifts", [layer.shifts for layer in net.layers])
@@ -417,30 +423,30 @@ def save_model(path, model: ModelBundle) -> None:
     def _std_block(std, name):
         if std is None:
             return None
-        return {"means": _block(std.means, f"{name}.means"),
-                "stds": _block(std.stds, f"{name}.stds"),
+        return {"means": _block(std.means, f"{name}.means", payload),
+                "stds": _block(std.stds, f"{name}.stds", payload),
                 "epsilon": float(std.epsilon)}
 
     doc["standardizer"] = _std_block(model.standardizer, "standardizer")
     doc["feature_scaler"] = _std_block(model.feature_scaler, "feature_scaler")
     if model.pca is not None:
         doc["pca"] = {
-            "mean": _block(model.pca.mean, "pca.mean"),
-            "components": _block(model.pca.components, "pca.components"),
-            "eigenvalues": _block(model.pca.eigenvalues, "pca.eigenvalues"),
+            "mean": _block(model.pca.mean, "pca.mean", payload),
+            "components": _block(model.pca.components, "pca.components", payload),
+            "eigenvalues": _block(model.pca.eigenvalues, "pca.eigenvalues", payload),
             "k": int(model.pca.k),
             "tau": float(model.pca.tau) if model.pca.tau is not None else None,
         }
     else:
         doc["pca"] = None
     doc["meta"] = model.meta or {}
-    try:
+    try:  # ASCII-only output, so the header holds no newline byte
         text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
     except ValueError as e:
         raise NumericError(f"cannot serialize a non-finite number: {e}") from None
     except TypeError as e:
         raise ParameterError(f"cannot serialize the model to JSON: {e}") from None
-    atomic_write_text(path, text + "\n")
+    _atomic_write(path, [(text + "\n").encode("ascii")] + [a.data for a in payload])
 
 
 def _require(cond: bool, message: str) -> None:
@@ -448,29 +454,64 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _finite(value, block: str) -> np.ndarray:
-    """A v1 nested list (or number) or a v2 block as a float64 array.
+class _Payload:
+    """The bytes after a version-3 header, and the byte ranges its blocks claim."""
 
-    Anything else, a block whose byte count does not match its shape, or
-    non-finite values (``json.loads`` accepts ``NaN`` and ``Infinity``
-    literals) raise a FormatError naming ``block``.
+    def __init__(self, fh):
+        self.data = bytearray(max(0, os.fstat(fh.fileno()).st_size - fh.tell()))
+        del self.data[fh.readinto(self.data):]  # a file that shrank meanwhile
+        self.spans: list[tuple[int, int, str]] = []
+
+    def take(self, offset, nbytes: int, block: str) -> np.ndarray:
+        """The float64 values of ``block``: ``nbytes`` bytes at ``offset``, no copy."""
+        _require(type(offset) is int and offset % 8 == 0,
+                 f"{block} has offset {offset!r}, expected a multiple of 8")
+        _require(0 <= offset <= len(self.data) - nbytes,
+                 f"{block} needs payload bytes {offset} to {offset + nbytes}, "
+                 f"the payload holds {len(self.data)}")
+        self.spans.append((offset, offset + nbytes, block))
+        return np.frombuffer(self.data, dtype="<f8", count=nbytes // 8, offset=offset)
+
+    def check_tiled(self) -> None:
+        """The blocks cover the payload exactly: no gap, overlap or trailing byte."""
+        end = 0
+        for lo, hi, block in sorted(self.spans):
+            _require(lo == end, f"{block} starts at payload byte {lo}, expected {end}")
+            end = hi
+        _require(end == len(self.data),
+                 f"the payload holds {len(self.data) - end} bytes after its last block")
+
+
+def _finite(value, block: str, payload: _Payload | None) -> np.ndarray:
+    """A float64 array from its block, checked for finite values.
+
+    With ``payload`` (version 3) the block is ``{dtype, shape, offset}`` into
+    it; without, a v2 base64 block or a v1 nested list (or number). Anything
+    else, a byte count that does not match the shape, or non-finite values
+    (``json.loads`` accepts ``NaN`` and ``Infinity`` literals) raise a
+    FormatError naming ``block``.
     """
     _require(value is not None, f"{block} is missing")
-    if isinstance(value, dict):
+    if isinstance(value, dict) or payload is not None:
+        _require(isinstance(value, dict), f"{block} is not an array block")
         _require(value.get("dtype") == "<f8",
                  f"{block} has dtype {value.get('dtype')!r}, expected '<f8'")
         shape = value.get("shape")
         _require(isinstance(shape, list)
                  and all(type(d) is int and d >= 0 for d in shape),
                  f"{block} has an invalid shape {shape!r}")
-        try:
-            raw = base64.b64decode(value.get("data"), validate=True)
-        except (TypeError, ValueError):  # binascii.Error is a ValueError
-            raise FormatError(f"{block} data is not base64") from None
-        size = math.prod(shape)
-        _require(len(raw) == 8 * size,
-                 f"{block} holds {len(raw)} bytes, shape {shape} needs {8 * size}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        nbytes = 8 * math.prod(shape)
+        if payload is not None:
+            arr = payload.take(value.get("offset"), nbytes, block)
+        else:
+            try:
+                raw = base64.b64decode(value.get("data"), validate=True)
+            except (TypeError, ValueError):  # binascii.Error is a ValueError
+                raise FormatError(f"{block} data is not base64") from None
+            _require(len(raw) == nbytes,
+                     f"{block} holds {len(raw)} bytes, shape {shape} needs {nbytes}")
+            arr = np.frombuffer(raw, dtype="<f8")
+        arr = arr.astype(np.float64, copy=payload is None).reshape(shape)  # v2 bytes are read-only
     else:
         try:
             arr = np.asarray(value, dtype=np.float64)
@@ -478,6 +519,16 @@ def _finite(value, block: str) -> np.ndarray:
             raise FormatError(f"{block} is not a numeric array") from None
     _require(bool(np.all(np.isfinite(arr))), f"{block} holds non-finite values")
     return arr
+
+
+def _scalar(value, field_name: str) -> float:
+    """A finite JSON number as a float; anything else is a FormatError."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), f"{field_name} must be a finite number, got {value!r}")
+    return number
 
 
 def _count(value, field_name: str) -> int:
@@ -493,56 +544,66 @@ def _object(doc: dict, key: str, default=None):
     return value
 
 
-def _layer_blocks(doc: dict, key: str, shapes: list[tuple]) -> list[np.ndarray]:
+def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
+                  payload: _Payload | None) -> list[np.ndarray]:
     """The per-layer arrays under ``key``: one per layer, each of its shape."""
     blocks = doc.get(key)
     _require(isinstance(blocks, list) and len(blocks) == len(shapes),
              f"{key} does not hold one block per layer of layer_dims")
     arrays = []
     for l, (block, shape) in enumerate(zip(blocks, shapes)):
-        arrays.append(_finite(block, f"{key}[{l}]"))
+        arrays.append(_finite(block, f"{key}[{l}]", payload))
         _require(arrays[-1].shape == shape,
                  f"{key}[{l}] has shape {arrays[-1].shape}, expected {shape}")
     return arrays
 
 
 def load_model(path) -> ModelBundle:
-    """Load a model file (version 1 or 2), validating every field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)  # the file text is dropped once parsed
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed model file: {e.msg}",
-                         line=e.lineno, column=e.colno, offset=e.pos) from e
-    _require(isinstance(doc, dict), "model file must hold a JSON object")
-    _require(doc.get("format") == MODEL_FORMAT,
-             f"not a {MODEL_FORMAT} file (format={doc.get('format')!r})")
-    version = doc.get("version")
-    if type(version) is not int or version not in _READABLE_VERSIONS:
-        raise UnsupportedVersionError(
-            f"model file version {version!r} is not supported "
-            f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})")
+    """Load a model file (version 1, 2 or 3), validating every field."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.readline().decode("utf-8"))
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
+        except json.JSONDecodeError as e:
+            raise ParseError(f"malformed model file: {e.msg}",
+                             line=e.lineno, column=e.colno, offset=e.pos) from e
+        except ValueError as e:  # an integer beyond Python's digit limit
+            raise ParseError(f"malformed model file: {e}") from None
+        _require(isinstance(doc, dict), "model file must hold a JSON object")
+        _require(doc.get("format") == MODEL_FORMAT,
+                 f"not a {MODEL_FORMAT} file (format={doc.get('format')!r})")
+        version = doc.get("version")
+        if type(version) is not int or version not in _READABLE_VERSIONS:
+            raise UnsupportedVersionError(
+                f"model file version {version!r} is not supported "
+                f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})")
+        payload = _Payload(fh) if version == 3 else None
+        _require(payload is not None or not fh.read().strip(),
+                 f"a version {version} model file is one JSON line, this one has more")
     dims = doc.get("layer_dims")
     _require(isinstance(dims, list) and len(dims) >= 2, "layer_dims missing or too short")
     dims = [_count(d, f"layer_dims[{l}]") for l, d in enumerate(dims)]
     edges = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]  # [out, in] per layer
     family = doc.get("family")
     if family == "mlp":
-        net: object = MlpNetwork(weights=_layer_blocks(doc, "mlp_weights", edges),
-                                 biases=_layer_blocks(doc, "mlp_biases",
-                                                      [(dout,) for dout, _ in edges]))
+        net: object = MlpNetwork(
+            weights=_layer_blocks(doc, "mlp_weights", edges, payload),
+            biases=_layer_blocks(doc, "mlp_biases", [(dout,) for dout, _ in edges], payload))
     else:
         try:
             spec = BasisSpec.from_dict(_object(doc, "basis", {"family": family}))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"basis is invalid: {e!r}") from None
         b = basis_size(spec)
-        coeffs = [np.ascontiguousarray(c.transpose(0, 2, 1))
-                  for c in _layer_blocks(doc, "coeffs", [edge + (b,) for edge in edges])]
+        order = (0, 1, 2) if payload is not None else (0, 2, 1)  # v1/v2 hold [out, in, b]
+        coeffs = [np.ascontiguousarray(c.transpose(order)) for c in _layer_blocks(
+            doc, "coeffs", [tuple((dout, b, din)[i] for i in order) for dout, din in edges],
+            payload)]
         scales = shifts = [None] * len(edges)
         if spec.family == "wavelet_mexican_hat":
-            scales = _layer_blocks(doc, "wavelet_scales", edges)
-            shifts = _layer_blocks(doc, "wavelet_shifts", edges)
+            scales = _layer_blocks(doc, "wavelet_scales", edges, payload)
+            shifts = _layer_blocks(doc, "wavelet_shifts", edges, payload)
         net = KanNetwork(spec=spec, layers=[
             KanLayer(din, dout, c, s, t)
             for (dout, din), c, s, t in zip(edges, coeffs, scales, shifts)])
@@ -551,32 +612,32 @@ def load_model(path) -> ModelBundle:
         block = _object(doc, name)
         if block is None:
             return None
-        means = _finite(block.get("means"), f"{name}.means")
-        stds = _finite(block.get("stds"), f"{name}.stds")
+        means = _finite(block.get("means"), f"{name}.means", payload)
+        stds = _finite(block.get("stds"), f"{name}.stds", payload)
         _require(means.ndim == 1 and stds.shape == means.shape,
                  f"{name} has means of shape {means.shape} and stds of shape {stds.shape}")
         return Standardizer(means=means, stds=stds,
-                            epsilon=float(_finite(block.get("epsilon", 1e-8),
-                                                  f"{name}.epsilon")))
+                            epsilon=_scalar(block.get("epsilon", 1e-8), f"{name}.epsilon"))
 
     std = _std_from("standardizer")
     scaler = _std_from("feature_scaler")
     pca = None
     p = _object(doc, "pca")
     if p is not None:
-        pca = PcaModel(mean=_finite(p.get("mean"), "pca.mean"),
-                       components=_finite(p.get("components"), "pca.components"),
-                       eigenvalues=_finite(p.get("eigenvalues"), "pca.eigenvalues"),
+        pca = PcaModel(mean=_finite(p.get("mean"), "pca.mean", payload),
+                       components=_finite(p.get("components"), "pca.components", payload),
+                       eigenvalues=_finite(p.get("eigenvalues"), "pca.eigenvalues", payload),
                        k=_count(p.get("k"), "pca.k"),
-                       tau=(float(_finite(p["tau"], "pca.tau"))
-                            if p.get("tau") is not None else None))
+                       tau=_scalar(p["tau"], "pca.tau") if p.get("tau") is not None else None)
         d = pca.mean.shape
         _require(len(d) == 1 and pca.eigenvalues.shape == d
                  and pca.components.shape == (pca.k,) + d,
                  f"pca has mean {d}, eigenvalues {pca.eigenvalues.shape} and components "
                  f"{pca.components.shape} with k={pca.k}; expected [d], [d] and [k, d]")
+    if payload is not None:
+        payload.check_tiled()
     affine = _object(doc, "target_affine", {})
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
-                       target_mean=float(_finite(affine.get("mean", 0.0), "target_affine.mean")),
-                       target_std=float(_finite(affine.get("std", 1.0), "target_affine.std")),
+                       target_mean=_scalar(affine.get("mean", 0.0), "target_affine.mean"),
+                       target_std=_scalar(affine.get("std", 1.0), "target_affine.std"),
                        meta=_object(doc, "meta", {}))

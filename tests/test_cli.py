@@ -117,7 +117,7 @@ class TestTrainCommand:
     def test_tau_one_skips_reduction(self, small_csv, tmp_path):
         out = tmp_path / "run"
         assert main(_train_args(small_csv, str(out), tau="1.0")) == 0
-        doc = json.loads((out / "model.json").read_text())
+        doc = json.loads((out / "model.json").read_bytes().partition(b"\n")[0])
         assert doc["pca"] is None
         _, rows = _rows(out / "report.csv")
         assert rows[0].split(",")[2] == "1.00"
@@ -125,7 +125,7 @@ class TestTrainCommand:
     def test_tau_below_one_embeds_pca(self, small_csv, tmp_path):
         out = tmp_path / "run"
         main(_train_args(small_csv, str(out)))
-        doc = json.loads((out / "model.json").read_text())
+        doc = json.loads((out / "model.json").read_bytes().partition(b"\n")[0])
         assert doc["pca"] is not None
 
     def test_fourier_path(self, small_csv, tmp_path):
@@ -239,6 +239,15 @@ class TestConfigFile:
         assert "line 2" in err
         assert not out.exists()
 
+    def test_non_utf8_file_is_a_named_error(self, small_csv, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"bins = 5\n# caf\xe9\n")
+        out = tmp_path / "x"
+        code = main(["hist", "--data", small_csv, "--out", str(out), "--config", str(conf)])
+        assert code == 1
+        assert "bad.conf is not UTF-8 text: line 2, byte offset 14" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_can_supply_data_path(self, small_csv, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(f"data = {small_csv}\nbins = 4\n")
@@ -295,7 +304,7 @@ class TestCrossCommand:
                                                          capsys):
         model = tmp_path / "m.json"
         save_model(model, _linear_probe_bundle(6, 1.0, 0.0))
-        doc = json.loads(model.read_text())
+        doc = json.loads(model.read_bytes().partition(b"\n")[0])
         doc["layer_dims"] = ["x", 1]
         model.write_text(json.dumps(doc))
         code = main(["cross", "--data", small_csv, "--model", str(model),
@@ -582,6 +591,14 @@ class TestHistCommand:
                            for r in _rows(out / "hist.csv")[1]])
         # loose uniformity: every bin within a factor of two of its mean
         assert counts.min() > 100 and counts.max() < 400
+
+    def test_non_utf8_csv_is_a_named_error(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"f0,mos\n1\xff,2\n")
+        out = tmp_path / "x"
+        assert main(["hist", "--data", str(data), "--out", str(out)]) == 1
+        assert "bad.csv is not UTF-8 text: line 2, byte offset 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_bins_rejected(self, small_csv, tmp_path):
         assert main(["hist", "--data", small_csv, "--bins", "0",

@@ -3,6 +3,7 @@
 import base64
 import copy
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 
 from kanreg import network
 from kanreg.basis import FAMILIES, BasisSpec, basis_size, evaluate_basis
+from kanreg.cli import main
 from kanreg.data import Standardizer
 from kanreg.errors import (
     ContractError,
     FormatError,
+    KanregError,
     NumericError,
     ParameterError,
     ParseError,
@@ -39,7 +42,8 @@ from kanreg.network import (
 )
 from kanreg.pca import fit as pca_fit
 from kanreg.pca import transform as pca_transform
-from kanreg.data import apply_standardizer, fit_standardizer
+from kanreg.data import (apply_standardizer, fit_standardizer, make_synthetic,
+                         save_table)
 
 ALL_SPECS = {
     "taylor": BasisSpec.taylor(2),
@@ -384,14 +388,16 @@ class TestCoefficientLayout:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_model_file_holds_out_in_b(self, tmp_path):
+    def test_model_file_holds_out_b_in(self, tmp_path):
         net = init_network([5, 3, 1], BasisSpec.chebyshev(3), Rng(2))
         path = tmp_path / "model.json"
         save_model(path, ModelBundle(net=net))
-        block = json.loads(path.read_text())["coeffs"][0]
-        assert block["shape"] == [3, 5, 4]
-        data = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").reshape(3, 5, 4)
-        np.testing.assert_array_equal(data, net.layers[0].coeffs.transpose(0, 2, 1))
+        head, _, payload = path.read_bytes().partition(b"\n")
+        blocks = json.loads(head)["coeffs"]
+        assert [b["shape"] for b in blocks] == [[3, 4, 5], [1, 4, 3]]
+        assert [b["offset"] for b in blocks] == [0, 8 * 60]
+        data = np.frombuffer(payload, dtype="<f8", count=60).reshape(3, 4, 5)
+        np.testing.assert_array_equal(data, net.layers[0].coeffs)
 
     def test_v2_document_loads_as_the_transpose(self, tmp_path):
         def block(a):
@@ -586,6 +592,99 @@ def _v1_doc(bundle):
     return doc
 
 
+def _v2_doc(bundle):
+    """A version-2 model document: _v1_doc with every array as a base64 block."""
+    def block(values):
+        a = np.ascontiguousarray(values, dtype="<f8")
+        return {"dtype": "<f8", "shape": list(a.shape),
+                "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+    doc = _v1_doc(bundle)
+    doc["version"] = 2
+    for key in ("coeffs", "wavelet_scales", "wavelet_shifts", "mlp_weights", "mlp_biases"):
+        if key in doc:
+            doc[key] = [block(a) for a in doc[key]]
+    for key, names in [("standardizer", ("means", "stds")), ("feature_scaler", ("means", "stds")),
+                       ("pca", ("mean", "components", "eigenvalues"))]:
+        for name in names if doc[key] is not None else ():
+            doc[key][name] = block(doc[key][name])
+    return doc
+
+
+def _write_v2(path, bundle):
+    """Write ``bundle`` as the version-2 writer did: one compact JSON line."""
+    path.write_text(json.dumps(_v2_doc(bundle), allow_nan=False, separators=(",", ":")) + "\n")
+
+
+def _bundle_of(kind):
+    """A small bundle of ``kind`` (a basis family or "mlp") with every array it can hold."""
+    if kind == "mlp":
+        return ModelBundle(net=init_mlp([5, 4, 1], Rng(127)))
+    net = init_network([5, 4, 1], ALL_SPECS[kind], Rng(127))
+    for layer in net.layers:
+        if layer.scales is not None:
+            layer.scales *= 1.0 + np.random.default_rng(131).random(layer.scales.shape)
+            layer.shifts += np.random.default_rng(137).normal(size=layer.shifts.shape)
+    raw = np.random.default_rng(139).normal(size=(30, 5)) * 3.0 + 1.0 / 3.0
+    std = fit_standardizer(raw)
+    pca = pca_fit(apply_standardizer(std, raw), 0.9)
+    return ModelBundle(net=net, standardizer=std, pca=pca,
+                       feature_scaler=fit_standardizer(raw[:, :pca.k]),
+                       target_mean=0.1, target_std=2.0 / 3.0, meta={"seed": 5})
+
+
+def _arrays_of(bundle):
+    arrays = params_of(bundle.net)[0]
+    for std in (bundle.standardizer, bundle.feature_scaler):
+        arrays += [] if std is None else [std.means, std.stds]
+    pca = bundle.pca
+    return arrays + ([] if pca is None else [pca.mean, pca.components, pca.eigenvalues])
+
+
+# each defect _damage makes, with the error load_model names it by
+_DAMAGE = {
+    "truncated": (FormatError, r"standardizer\.stds needs payload bytes"),
+    "trailing": (FormatError, r"the payload holds 8 bytes after its last block"),
+    "offset_out_of_range": (FormatError, r"coeffs\[0\] needs payload bytes"),
+    "offset_misaligned": (FormatError, r"coeffs\[1\] has offset \d+, expected a multiple"),
+    "offset_not_int": (FormatError, r"coeffs\[1\] has offset \d+\.0, expected"),
+    "overlap": (FormatError, r"starts at payload byte 0, expected"),
+    "dtype": (FormatError, r"coeffs\[0\] has dtype '<f4', expected '<f8'"),
+    "nan": (FormatError, r"standardizer\.means holds non-finite values"),
+    "non_utf8": (ParseError, r"is not UTF-8 text: line 1, byte offset 2"),
+    "digit_limit": (ParseError, r"malformed model file: Exceeds the limit"),
+}
+
+
+def _damage(path, case):
+    """Rewrite the version-3 file at ``path`` with one defect."""
+    head, _, payload = path.read_bytes().partition(b"\n")
+    doc = json.loads(head)
+    if case == "truncated":
+        payload = payload[:-8]
+    elif case == "trailing":
+        payload += bytes(8)
+    elif case == "offset_out_of_range":
+        doc["coeffs"][0]["offset"] = len(payload)
+    elif case == "offset_misaligned":
+        doc["coeffs"][1]["offset"] += 4
+    elif case == "offset_not_int":
+        doc["coeffs"][1]["offset"] = float(doc["coeffs"][1]["offset"])
+    elif case == "overlap":
+        doc["coeffs"][1]["offset"] = 0
+    elif case == "dtype":
+        doc["coeffs"][0]["dtype"] = "<f4"
+    elif case == "nan":
+        at = doc["standardizer"]["means"]["offset"] + 8
+        payload = payload[:at] + np.array([np.nan], dtype="<f8").tobytes() + payload[at + 8:]
+    head = json.dumps(doc, separators=(",", ":")).encode("ascii")
+    if case == "non_utf8":
+        head = head[:2] + b"\xff" + head[3:]
+    elif case == "digit_limit":
+        head = head[:-1] + b',"big":' + b"1" * 5000 + b"}"
+    path.write_bytes(head + b"\n" + payload)
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("family", sorted(ALL_SPECS))
     def test_round_trip_bit_identical(self, family, tmp_path):
@@ -618,7 +717,7 @@ class TestModelFiles:
     def test_truncated_file_is_parse_error(self, tmp_path):
         net = init_network([3, 2, 1], BasisSpec.taylor(2), Rng(59))
         path = tmp_path / "model.json"
-        save_model(path, ModelBundle(net=net))
+        _write_v2(path, ModelBundle(net=net))
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(ParseError) as exc:
@@ -634,7 +733,7 @@ class TestModelFiles:
     def test_unsupported_version(self, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(61))
         path = tmp_path / "model.json"
-        save_model(path, ModelBundle(net=net))
+        _write_v2(path, ModelBundle(net=net))
         blob = path.read_text()
         assert '"version":2' in blob
         path.write_text(blob.replace('"version":2', '"version":9'))
@@ -644,7 +743,7 @@ class TestModelFiles:
     def test_shape_mismatch_rejected(self, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(67))
         path = tmp_path / "model.json"
-        save_model(path, ModelBundle(net=net))
+        _write_v2(path, ModelBundle(net=net))
         doc = path.read_text().replace('"layer_dims":[3,1]', '"layer_dims":[4,1]')
         path.write_text(doc)
         with pytest.raises(FormatError):
@@ -672,7 +771,7 @@ class TestModelFiles:
         assert "Infinity" in path.read_text()
 
         # version 2: NaN inside a base64 block, and a byte count off its shape
-        save_model(path, bundle)
+        _write_v2(path, bundle)
         clean = json.loads(path.read_text())
         load_model(path)
         doc = json.loads(json.dumps(clean))
@@ -729,16 +828,103 @@ class TestModelFiles:
         ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0]], "eigenvalues": [1.0] * 3,
                  "k": 1}),
         ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0, 0.0]],
-                 "eigenvalues": [1.0] * 3, "k": 2})])
+                 "eigenvalues": [1.0] * 3, "k": 2}),
+        ("target_affine", {"mean": [1.0]}), ("target_affine", {"std": [2.0]}),
+        ("target_affine", {"std": 10**400}),
+        ("standardizer", {"means": [0.0] * 3, "stds": [1.0] * 3, "epsilon": [1e-8]}),
+        ("feature_scaler", {"means": [0.0] * 3, "stds": [1.0] * 3, "epsilon": [1e-8]}),
+        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0, 0.0]],
+                 "eigenvalues": [1.0] * 3, "k": 1, "tau": [0.9]})])
     def test_malformed_fields_are_named_format_errors(self, field, value, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(113))
         path = tmp_path / "model.json"
-        save_model(path, ModelBundle(net=net))
+        _write_v2(path, ModelBundle(net=net))
         doc = json.loads(path.read_text())
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=field):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(ALL_SPECS) + ["mlp"])
+    def test_v3_and_v2_files_load_the_same_arrays_bit_for_bit(self, kind, tmp_path):
+        bundle = _bundle_of(kind)
+        v3, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
+        save_model(v3, bundle)
+        _write_v2(v2, bundle)
+        assert json.loads(v3.read_bytes().partition(b"\n")[0])["version"] == 3
+        want = _arrays_of(bundle)
+        for loaded in (load_model(v3), load_model(v2)):
+            got = _arrays_of(loaded)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable
+                np.testing.assert_array_equal(g, w)
+            assert (loaded.target_mean, loaded.target_std) == (bundle.target_mean,
+                                                                bundle.target_std)
+            assert loaded.meta == bundle.meta
+
+    @pytest.mark.parametrize("case", list(_DAMAGE))
+    def test_v3_damage_is_a_named_error(self, case, tmp_path, capsys):
+        error, match = _DAMAGE[case]
+        table = make_synthetic(20, 3, 2, seed=5)
+        data = tmp_path / "t.csv"
+        save_table(table, data)
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=init_network([3, 2, 1], BasisSpec.taylor(2), Rng(149)),
+                                     standardizer=fit_standardizer(table.features)))
+        load_model(path)
+        _damage(path, case)
+        with pytest.raises(error, match=match):
+            load_model(path)
+        assert main(["cross", "--data", str(data), "--model", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert re.search(match, capsys.readouterr().err)
+
+    def test_byte_flips_and_truncations_raise_only_named_errors(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, _bundle_of("wavelet_mexican_hat"))
+        clean = path.read_bytes()
+        rng = np.random.default_rng(151)
+        loaded = 0
+        for _ in range(300):
+            blob = bytearray(clean)
+            if rng.random() < 0.75:
+                blob[rng.integers(len(blob))] = rng.integers(256)
+            else:
+                del blob[rng.integers(len(blob)):]
+            path.write_bytes(blob)
+            try:
+                load_model(path)
+                loaded += 1
+            except (KanregError, OSError):
+                pass
+        assert loaded < 300
+
+    def test_file_holds_the_arrays_and_a_small_header(self, tmp_path):
+        net = init_network([256, 64, 1], BasisSpec.chebyshev(3), Rng(157))
+        raw = np.random.default_rng(163).normal(size=(20, 256))
+        bundle = ModelBundle(net=net, standardizer=fit_standardizer(raw))
+        path = tmp_path / "model.json"
+        save_model(path, bundle)
+        assert path.stat().st_size <= sum(a.nbytes for a in _arrays_of(bundle)) + 16 * 1024
+
+    def test_load_peak_within_one_and_a_fifth_of_the_arrays(self, tmp_path):
+        rng = np.random.default_rng(167)
+        layers = [KanLayer(1024, 128, rng.normal(size=(128, 4, 1024))),
+                  KanLayer(128, 1, rng.normal(size=(1, 4, 128)))]
+        bundle = ModelBundle(net=KanNetwork(spec=BasisSpec.chebyshev(3), layers=layers),
+                             standardizer=Standardizer(rng.normal(size=1024),
+                                                       rng.random(1024) + 0.5))
+        path = tmp_path / "model.json"
+        save_model(path, bundle)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in _arrays_of(loaded))
+        assert peak <= 1.2 * size
 
     def test_bundle_round_trip_with_preprocessing(self, tmp_path):
         rng = np.random.default_rng(71)
