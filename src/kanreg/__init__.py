@@ -30,7 +30,7 @@ from .pca import select_k
 from .pca import transform as pca_transform
 from .training import (DEFAULT_LR_GRID, AdamState, GridSearchResult,
                        TrainConfig, TrainResult, adam_step, grid_search,
-                       init_adam, measure_time, train)
+                       init_adam, train)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "basis_size", "evaluate", "evaluate_basis",
     "fit_pca", "fit_standardizer", "forward", "grid_search", "init_adam",
     "init_mlp", "init_network", "load_model", "load_table", "make_synthetic",
-    "measure_time", "mlp_dims", "mos_histogram", "paired_t_test",
+    "mlp_dims", "mos_histogram", "paired_t_test",
     "pca_transform", "plcc", "predict", "rank_average", "save_model",
     "save_table", "select_k", "six_layer_dims", "split", "srcc", "sym_eig",
     "train", "__version__",

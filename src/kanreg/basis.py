@@ -92,7 +92,7 @@ class BasisSpec:
             raise ParameterError(f"taylor order must be >= 0, got {self.order}")
         if f in ("chebyshev", "jacobi", "hermite") and self.n_max < 0:
             raise ParameterError(f"{f} degree must be >= 0, got {self.n_max}")
-        if f == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
+        if f == "jacobi" and not (self.alpha > -1.0 and self.beta > -1.0):  # NaN too
             raise ParameterError(
                 f"jacobi requires alpha > -1 and beta > -1, got alpha={self.alpha}, beta={self.beta}")
         if f == "gaussian_rbf":

@@ -34,8 +34,7 @@ from .network import (ModelBundle, auto_configure, init_mlp, init_network,
 from .pca import fit as fit_pca
 from .pca import select_k
 from .pca import transform as pca_transform
-from .training import (DEFAULT_LR_GRID, GridSearchResult, TrainConfig,
-                       grid_search, measure_time)
+from .training import DEFAULT_LR_GRID, TrainConfig, grid_search
 
 _SEED_MASK = (1 << 64) - 1
 _TAU_CHOICES = (0.90, 0.95, 1.00)
@@ -131,6 +130,8 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
                              line=lineno)
         key = key.strip().replace("-", "_")
         value = value.strip()
+        if "\0" in value:  # argv cannot hold one, and open() raises ValueError on it
+            raise ParseError(f"NUL byte in the value of {key!r}", line=lineno)
         if key not in keys:
             raise ParameterError(
                 f"config key {key!r} is not valid for {command!r}")
@@ -235,13 +236,21 @@ def _write_manifest(out_dir: str, command: str, cfg: dict,
 
 
 def _start(cfg: dict, command: str, outputs: tuple[str, ...],
-           inputs: tuple[str, ...] = ("data",)) -> list[str]:
-    """Make the output directory and write the manifest; returns the output paths."""
+           inputs: tuple[str, ...] = ("data",)) -> tuple[FeatureTable, list[str]]:
+    """Load the table, make the output directory and write the manifest.
+
+    Returns the table and the output paths.
+    """
+    table = load_table(cfg["data"], cfg["format"])
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in outputs]
     _write_manifest(out_dir, command, cfg, [cfg[key] for key in inputs], paths)
-    return paths
+    return table, paths
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def _layers_text(dims) -> str:
@@ -257,8 +266,9 @@ def _report_row(dataset: str, meta: dict, rep: EvalReport, seconds: float) -> st
             f"{meta['lr']:g},{rep.plcc:.6f},{rep.srcc:.6f},{seconds:.3f},{meta['epochs']}")
 
 
-def _finish_sweep(command: str, path: str, lines: list[str], failures: list[str]) -> int:
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _finish_sweep(command: str, path: str, header: str, rows: list[str],
+                  failures: list[str]) -> int:
+    _write_csv(path, header, rows)
     print(f"{command}: wrote {path}")
     for message in failures:
         print(f"{command}: FAILED {message}", file=sys.stderr)
@@ -284,69 +294,53 @@ def _prepare_features(table: FeatureTable, cfg: dict, use_pca: bool):
     return splits, standardizer, pca_model, scaler, feats
 
 
-def _run_training(work: FeatureTable, splits, cfg: dict,
-                  spec: BasisSpec | None, dims) -> GridSearchResult:
-    init_rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
-    if spec is None:
-        net = init_mlp(dims, init_rng)
-    else:
-        net = init_network(dims, spec, init_rng)
-    grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
-    return grid_search(net, work, splits, _train_config(cfg), grid)
-
-
 def _train_and_score(table: FeatureTable, prepared, cfg: dict,
-                     spec: BasisSpec | None, dims, model_path: str | None = None):
+                     spec: BasisSpec | None, dims):
     """Grid-search a network on ``prepared`` features and score its test split.
 
-    With ``model_path`` the bundle carries the fitted transforms and the
-    run's meta, is saved there, and is scored on the raw table; without, the
-    bare network is scored on the prepared features. Returns the search, the
-    bundle, the test report and the grid's wall seconds.
+    The bundle carries the network, the fitted transforms and the run's
+    meta, and is scored on the raw test rows. Returns the search, the
+    bundle, the test report and the wall seconds of network init plus grid.
     """
     splits, standardizer, pca_model, scaler, feats = prepared
     work = FeatureTable(name=table.name, features=feats, scores=table.scores)
-    search, seconds = measure_time(_run_training, work, splits, cfg, spec, dims)
+    start = time.perf_counter()
+    init_rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
+    net = init_mlp(dims, init_rng) if spec is None else init_network(dims, spec, init_rng)
+    grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
+    search = grid_search(net, work, splits, _train_config(cfg), grid)
+    seconds = time.perf_counter() - start
     best = search.best_result
-    bundle = ModelBundle(net=search.best_net, target_mean=best.target_mean,
-                         target_std=best.target_std)
-    if model_path is None:
-        return search, bundle, evaluate(bundle, work, splits.test), seconds
-    bundle.standardizer, bundle.pca, bundle.feature_scaler = standardizer, pca_model, scaler
-    bundle.meta = {
+    meta = {
         "dataset": table.name, "basis": cfg["basis"],
         "tau": cfg["tau"] if spec is not None else 1.0, "k": feats.shape[1],
         "layers": _layers_text(dims), "lr": search.best_lr,
         "epochs": best.epochs_run, "seed": cfg["seed"],
     }
-    save_model(model_path, bundle)
-    report = evaluate(bundle, table, splits.test)
-    return search, bundle, report, seconds
+    bundle = ModelBundle(net=search.best_net, standardizer=standardizer, pca=pca_model,
+                         feature_scaler=scaler, target_mean=best.target_mean,
+                         target_std=best.target_std, meta=meta)
+    return search, bundle, evaluate(bundle, table, splits.test), seconds
 
 
 def cmd_train(cfg: dict) -> int:
-    table = load_table(cfg["data"], cfg["format"])
-    model_path, report_path, grid_path = _start(
+    table, (model_path, report_path, grid_path) = _start(
         cfg, "train", ("model.json", "report.csv", "lr_grid.csv"))
     spec = _basis_spec(cfg)
     prepared = _prepare_features(table, cfg, use_pca=spec is not None)
     k = prepared[-1].shape[1]
     dims = mlp_dims(k) if spec is None else auto_configure(k, 1)
-    search, bundle, report, search_seconds = _train_and_score(
-        table, prepared, cfg, spec, dims, model_path)
+    search, bundle, report, search_seconds = _train_and_score(table, prepared, cfg, spec, dims)
+    save_model(model_path, bundle)
     best = search.best_result
 
-    grid_lines = ["lr,plcc,srcc,val_loss,seconds,epochs,status"]
-    for row in search.rows:
-        status = "ok" if row.error is None else "diverged"
-        grid_lines.append(
-            f"{row.learning_rate:g},{row.plcc:.6f},{row.srcc:.6f},"
-            f"{row.val_loss:.8g},{_csv_seconds(cfg, row.seconds):.3f},"
-            f"{row.epochs},{status}")
-    atomic_write_text(grid_path, "\n".join(grid_lines) + "\n")
+    _write_csv(grid_path, "lr,plcc,srcc,val_loss,seconds,epochs,status", (
+        f"{row.learning_rate:g},{row.plcc:.6f},{row.srcc:.6f},"
+        f"{row.val_loss:.8g},{_csv_seconds(cfg, row.seconds):.3f},"
+        f"{row.epochs},{'ok' if row.error is None else 'diverged'}" for row in search.rows))
     meta = bundle.meta
-    row = _report_row(table.name, meta, report, _csv_seconds(cfg, best.wall_seconds))
-    atomic_write_text(report_path, REPORT_HEADER + "\n" + row + "\n")
+    _write_csv(report_path, REPORT_HEADER,
+               [_report_row(table.name, meta, report, _csv_seconds(cfg, best.wall_seconds))])
 
     print(f"train: {table.name} basis={meta['basis']} tau={meta['tau']:.2f} k={k} "
           f"layers={meta['layers']} lr={meta['lr']:g}")
@@ -399,8 +393,7 @@ def cmd_cross(cfg: dict) -> int:
         raise ParameterError("--model is required for cross")
     bundle = load_model(cfg["model"])
     _seed_from_models(cfg, "cross", {"model": bundle})
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "cross", ("cross.csv",), ("data", "model"))
+    table, (report_path,) = _start(cfg, "cross", ("cross.csv",), ("data", "model"))
 
     meta = {}
     for key, (convert, default) in _ROW_META.items():
@@ -411,8 +404,7 @@ def cmd_cross(cfg: dict) -> int:
             raise FormatError(f"meta.{key} is malformed: {value!r}") from None
     indices = split(table.n, cfg["seed"]).test if cfg["split"] == "test" else None
     report = evaluate(bundle, table, indices)
-    row = _report_row(table.name, meta, report, 0.0)
-    atomic_write_text(report_path, REPORT_HEADER + "\n" + row + "\n")
+    _write_csv(report_path, REPORT_HEADER, [_report_row(table.name, meta, report, 0.0)])
     print(f"cross: {table.name} n={report.n} PLCC={report.plcc:.6f} "
           f"SRCC={report.srcc:.6f}")
     print(f"cross: wrote {report_path}")
@@ -420,25 +412,18 @@ def cmd_cross(cfg: dict) -> int:
 
 
 def cmd_pca(cfg: dict) -> int:
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "pca", ("pca_report.csv",))
+    table, (report_path,) = _start(cfg, "pca", ("pca_report.csv",))
 
     taus = cfg["taus"]
     d = table.d
-    splits = split(table.n, cfg["seed"])
-    standardizer = fit_standardizer(table.features, splits.train)
-    standardized = apply_standardizer(standardizer, table.features)
-    eigenvalues = None
-    reduced = [t for t in taus if t < 1.0]
-    if reduced:
-        # one spectrum serves every tau; fit at the smallest requested ratio
-        eigenvalues = fit_pca(standardized[splits.train], min(reduced)).eigenvalues
-    lines = ["tau,k,reduction_pct"]
+    # one spectrum serves every tau; fit at the smallest requested ratio
+    pca_model = _prepare_features(table, dict(cfg, tau=min(taus)), use_pca=True)[2]
+    rows = []
     for tau in taus:
-        k = d if tau >= 1.0 else select_k(eigenvalues, tau)
-        lines.append(f"{tau:.2f},{k},{100.0 * (1.0 - k / d):.4f}")
-    atomic_write_text(report_path, "\n".join(lines) + "\n")
-    print("pca: " + "; ".join(lines[1:]))
+        k = d if tau >= 1.0 else select_k(pca_model.eigenvalues, tau)
+        rows.append(f"{tau:.2f},{k},{100.0 * (1.0 - k / d):.4f}")
+    _write_csv(report_path, "tau,k,reduction_pct", rows)
+    print("pca: " + "; ".join(rows))
     print(f"pca: wrote {report_path}")
     return 0
 
@@ -448,30 +433,42 @@ _ORDER_FAMILIES = {family for family, fields in FAMILY_FIELDS.items()
                    if any(key in ("order", "harmonics") for *_, key in fields)}
 
 
+def _sweep(command: str, table: FeatureTable, trials) -> tuple[list, list[str]]:
+    """Train and score each ``(label, cfg, prepared, spec, dims)`` trial in turn.
+
+    Returns one ``(plcc, srcc, seconds)`` per trial, all NaN for a trial that
+    raised a KanregError, and one failure message per such trial.
+    """
+    results, failures = [], []
+    for label, cfg, prepared, spec, dims in trials:
+        try:
+            search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
+        except KanregError as e:
+            failures.append(f"{label}: {e}")
+            results.append((float("nan"),) * 3)
+            continue
+        seconds = search.best_result.wall_seconds
+        results.append((report.plcc, report.srcc, seconds))
+        print(f"{command}: {label} PLCC={report.plcc:.6f} SRCC={report.srcc:.6f} "
+              f"seconds={seconds:.3f}")
+    return results, failures
+
+
 def cmd_sweep_order(cfg: dict) -> int:
     if cfg["basis"] not in _ORDER_FAMILIES:
         raise ParameterError(
             f"sweep-order needs an order-parameterized basis, got {cfg['basis']!r}")
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "sweep-order", ("sweep_order.csv",))
+    table, (report_path,) = _start(cfg, "sweep-order", ("sweep_order.csv",))
 
     prepared = _prepare_features(table, cfg, use_pca=True)
     dims = auto_configure(prepared[-1].shape[1], 1)
-    lines = ["order,plcc,srcc,seconds"]
-    failures = []
-    for order in cfg["orders"]:
-        spec = _basis_spec(dict(cfg, order=order, harmonics=order))
-        try:
-            search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
-        except KanregError as e:
-            failures.append(f"order {order}: {e}")
-            lines.append(f"{order},nan,nan,nan")
-            continue
-        seconds = search.best_result.wall_seconds
-        lines.append(f"{order},{report.plcc:.6f},{report.srcc:.6f},{seconds:.3f}")
-        print(f"sweep-order: order={order} PLCC={report.plcc:.6f} "
-              f"SRCC={report.srcc:.6f} seconds={seconds:.3f}")
-    return _finish_sweep("sweep-order", report_path, lines, failures)
+    orders = cfg["orders"]
+    results, failures = _sweep("sweep-order", table, [
+        (f"order={order}", cfg, prepared,
+         _basis_spec(dict(cfg, order=order, harmonics=order)), dims) for order in orders])
+    rows = [f"{order},{pl:.6f},{sr:.6f},{seconds:.3f}"
+            for order, (pl, sr, seconds) in zip(orders, results)]
+    return _finish_sweep("sweep-order", report_path, "order,plcc,srcc,seconds", rows, failures)
 
 
 _LAYER_GRID = ((6, 1.00), (4, 1.00), (4, 0.95))
@@ -481,40 +478,24 @@ def cmd_sweep_layers(cfg: dict) -> int:
     spec = _basis_spec(cfg)
     if spec is None:
         raise ParameterError("sweep-layers applies to KAN bases, not mlp")
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "sweep-layers", ("sweep_layers.csv",))
+    table, (report_path,) = _start(cfg, "sweep-layers", ("sweep_layers.csv",))
 
-    prepared = {}  # tau -> features; they do not depend on the depth
-    results = []
-    failures = []
+    # the features depend on tau, not on the depth
+    prepared = {tau: _prepare_features(table, dict(cfg, tau=tau), use_pca=True)
+                for tau in dict.fromkeys(tau for _, tau in _LAYER_GRID)}
+    trials = []
     for depth, tau in _LAYER_GRID:
-        row_cfg = dict(cfg, tau=tau)
-        if tau not in prepared:
-            prepared[tau] = _prepare_features(table, row_cfg, use_pca=True)
         k = prepared[tau][-1].shape[1]
         dims = six_layer_dims(k) if depth == 6 else auto_configure(k, 1)
-        try:
-            search, _, report, _ = _train_and_score(
-                table, prepared[tau], row_cfg, spec, dims)
-        except KanregError as e:
-            failures.append(f"L={depth} tau={tau:.2f}: {e}")
-            results.append((depth, tau, None, None, float("nan")))
-            continue
-        seconds = search.best_result.wall_seconds
-        results.append((depth, tau, report.plcc, report.srcc, seconds))
-        print(f"sweep-layers: L={depth} tau={tau:.2f} k={k} "
-              f"PLCC={report.plcc:.6f} seconds={seconds:.3f}")
-
-    baseline = results[0][4]
-    lines = ["layers,tau,plcc,srcc,seconds,speedup"]
-    for depth, tau, pl, sr, seconds in results:
-        if pl is None:
-            lines.append(f"{depth},{tau:.2f},nan,nan,nan,nan")
-            continue
-        speedup = baseline / max(seconds, 1e-9)
-        lines.append(f"{depth},{tau:.2f},{pl:.6f},{sr:.6f},"
-                     f"{seconds:.3f},{speedup:.2f}")
-    return _finish_sweep("sweep-layers", report_path, lines, failures)
+        trials.append((f"L={depth} tau={tau:.2f} k={k}", dict(cfg, tau=tau),
+                       prepared[tau], spec, dims))
+    results, failures = _sweep("sweep-layers", table, trials)
+    baseline = results[0][2]  # a NaN time gives NaN speedups
+    rows = [f"{depth},{tau:.2f},{pl:.6f},{sr:.6f},{seconds:.3f},"
+            f"{baseline / max(seconds, 1e-9):.2f}"
+            for (depth, tau), (pl, sr, seconds) in zip(_LAYER_GRID, results)]
+    return _finish_sweep("sweep-layers", report_path,
+                         "layers,tau,plcc,srcc,seconds,speedup", rows, failures)
 
 
 def cmd_compare(cfg: dict) -> int:
@@ -523,9 +504,8 @@ def cmd_compare(cfg: dict) -> int:
     bundle_a = load_model(cfg["model_a"])
     bundle_b = load_model(cfg["model_b"])
     _seed_from_models(cfg, "compare", {"model-a": bundle_a, "model-b": bundle_b})
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "compare", ("compare.csv",),
-                            ("data", "model_a", "model_b"))
+    table, (report_path,) = _start(cfg, "compare", ("compare.csv",),
+                                   ("data", "model_a", "model_b"))
 
     if cfg["split"] == "test":
         idx = split(table.n, cfg["seed"]).test
@@ -542,8 +522,8 @@ def cmd_compare(cfg: dict) -> int:
             f"{plcc(preds_b, y):.6f},{srcc(preds_b, y):.6f},"
             f"{sig.t_stat:.6f},{sig.p_value:.6g},"
             f"{'true' if sig.significant else 'false'}")
-    header = "model_a,model_b,plcc_a,srcc_a,plcc_b,srcc_b,t_stat,p_value,significant"
-    atomic_write_text(report_path, header + "\n" + line + "\n")
+    _write_csv(report_path, "model_a,model_b,plcc_a,srcc_a,plcc_b,srcc_b,t_stat,p_value,"
+               "significant", [line])
     print(f"compare: t={sig.t_stat:.6f} p={sig.p_value:.6g} "
           f"significant={'yes' if sig.significant else 'no'}")
     print(f"compare: wrote {report_path}")
@@ -551,14 +531,11 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_hist(cfg: dict) -> int:
-    table = load_table(cfg["data"], cfg["format"])
-    (report_path,) = _start(cfg, "hist", ("hist.csv",))
+    table, (report_path,) = _start(cfg, "hist", ("hist.csv",))
 
     edges, counts = mos_histogram(table.scores, cfg["bins"])
-    lines = ["bin_lo,bin_hi,count"]
-    for i, count in enumerate(counts):
-        lines.append(f"{edges[i]:.17g},{edges[i + 1]:.17g},{count}")
-    atomic_write_text(report_path, "\n".join(lines) + "\n")
+    rows = (f"{lo:.17g},{hi:.17g},{count}" for lo, hi, count in zip(edges, edges[1:], counts))
+    _write_csv(report_path, "bin_lo,bin_hi,count", rows)
     print(f"hist: {len(counts)} bins over [{edges[0]:.6g}, {edges[-1]:.6g}], "
           f"n={int(counts.sum())}")
     print(f"hist: wrote {report_path}")

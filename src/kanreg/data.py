@@ -95,10 +95,15 @@ def load_table(path, fmt: str | None = None) -> FeatureTable:
     fmt = _infer_format(path, fmt)
     name = Path(path).stem
     if fmt == "csv":
-        try:
-            return _load_csv(path, name)
-        except UnicodeDecodeError:  # the text layer decodes whole chunks, not lines
-            raise utf8_error(path) from None
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                return _load_csv(reader, path, name)
+            except UnicodeDecodeError:  # the text layer decodes whole chunks, not lines
+                raise utf8_error(path) from None
+            except csv.Error as e:  # e.g. an unclosed quote that runs past the field limit
+                raise ParseError(f"{path} is not valid CSV ({e})",
+                                 line=reader.line_num) from None
     return _load_binary(path, name)
 
 
@@ -116,37 +121,35 @@ def utf8_error(path) -> ParseError:
     return ParseError(f"{path} is not UTF-8 text")
 
 
-def _load_csv(path, name: str) -> FeatureTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty CSV file", line=1)
-        if len(header) < 2 or header[-1].strip() != "mos":
-            raise ParseError("header must end with a 'mos' column after at "
-                             "least one feature column", line=1)
-        d = len(header) - 1
-        rows: list[np.ndarray] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ParseError(f"expected {d + 1} fields, got {len(row)}", line=lineno)
-            try:
-                values = np.array(row, dtype=np.float64)  # parses as float() does
-            except ValueError:
-                for col, cell in enumerate(row, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(f"non-numeric cell {cell!r}",
-                                         line=lineno, column=col) from None
-                raise
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise ParseError("non-finite value", line=lineno,
-                                 column=int(np.argmin(finite)) + 1)
-            rows.append(values)
+def _load_csv(reader, path, name: str) -> FeatureTable:
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty CSV file", line=1)
+    if len(header) < 2 or header[-1].strip() != "mos":
+        raise ParseError("header must end with a 'mos' column after at "
+                         "least one feature column", line=1)
+    d = len(header) - 1
+    rows: list[np.ndarray] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise ParseError(f"expected {d + 1} fields, got {len(row)}", line=lineno)
+        try:
+            values = np.array(row, dtype=np.float64)  # parses as float() does
+        except ValueError:
+            for col, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric cell {cell!r}",
+                                     line=lineno, column=col) from None
+            raise
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ParseError("non-finite value", line=lineno,
+                             column=int(np.argmin(finite)) + 1)
+        rows.append(values)
     if not rows:
         raise InsufficientDataError(f"{path}: no data rows")
     data = np.stack(rows)

@@ -144,19 +144,7 @@ class Rng:
         self._s = state
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        r = (s1 * 5) & _MASK
-        r = ((r << 7) | (r >> 57)) & _MASK
-        r = (r * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        self._s = [s0, s1, s2, s3]
-        return r
+        return self._bulk_u64(1)[0]
 
     def _bulk_u64(self, n: int) -> list[int]:
         # Hot path: locals only, no attribute lookups inside the loop.

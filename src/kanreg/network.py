@@ -110,13 +110,11 @@ def auto_configure(input_dim: int, output_dim: int = 1) -> list[int]:
     return [input_dim, hidden[0], hidden[1], output_dim]
 
 
-def six_layer_dims(input_dim: int, output_dim: int = 1) -> list[int]:
-    """Deep preset [input_dim, 512, 256, 128, 64, output_dim]."""
+def six_layer_dims(input_dim: int) -> list[int]:
+    """Deep preset [input_dim, 512, 256, 128, 64, 1]."""
     if input_dim < 1:
         raise ParameterError(f"input_dim must be >= 1, got {input_dim}")
-    if output_dim < 1:
-        raise ParameterError(f"output_dim must be >= 1, got {output_dim}")
-    return [input_dim, 512, 256, 128, 64, output_dim]
+    return [input_dim, 512, 256, 128, 64, 1]
 
 
 def _check_dims(dims) -> list[int]:

@@ -55,7 +55,7 @@ class TrainConfig:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.l1_penalty < 0.0:
+        if not self.l1_penalty >= 0.0:  # NaN too
             raise ParameterError(f"l1_penalty must be >= 0, got {self.l1_penalty}")
 
 
@@ -137,13 +137,6 @@ class TrainResult:
     target_std: float
     learning_rate: float
     val_predictions: np.ndarray   # raw-scale validation predictions at the best epoch
-
-
-def measure_time(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, wall_seconds)`` on a monotonic clock."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -> TrainResult:

@@ -8,8 +8,9 @@ import pytest
 from kanreg.basis import BasisSpec
 from kanreg import cli
 from kanreg.cli import REPORT_HEADER, main
-from kanreg.data import (FeatureTable, Standardizer, fit_standardizer,
+from kanreg.data import (FeatureTable, Standardizer, fit_standardizer, load_table,
                          make_synthetic, save_table, split)
+from kanreg.errors import KanregError
 from kanreg.linalg import Rng
 from kanreg.network import ModelBundle, init_network, save_model
 
@@ -173,9 +174,14 @@ class TestTrainCommand:
                                              (["hist", "--bins", "0"], "bins"),
                                              (["sweep-order", "--patience", "0"], "patience"),
                                              (["train", "--lr", "0"], "lr"),
-                                             (["train", "--lr", "nan"], "lr")],
+                                             (["train", "--lr", "nan"], "lr"),
+                                             (["train", "--l1", "nan"], "l1"),
+                                             (["train", "--basis", "jacobi", "--alpha", "nan"],
+                                              "alpha"),
+                                             (["train", "--basis", "jacobi", "--beta", "nan"],
+                                              "beta")],
                              ids=["batch", "order", "max-epochs", "l1", "bins", "patience",
-                                  "lr-zero", "lr-nan"])
+                                  "lr-zero", "lr-nan", "l1-nan", "alpha-nan", "beta-nan"])
     def test_out_of_range_flag_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                                  capsys, argv, field):
         out = tmp_path / "x"
@@ -247,6 +253,12 @@ class TestConfigFile:
         assert code == 1
         assert "bad.conf is not UTF-8 text: line 2, byte offset 14" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nul_byte_in_a_value_is_a_named_error(self, small_csv, tmp_path, capsys):
+        conf = tmp_path / "nul.conf"
+        conf.write_text("bins = 5\nout = " + str(tmp_path / "a\0b") + "\n")
+        assert main(["hist", "--data", small_csv, "--config", str(conf)]) == 1
+        assert "NUL byte in the value of 'out': line 2" in capsys.readouterr().err
 
     def test_config_can_supply_data_path(self, small_csv, tmp_path):
         conf = tmp_path / "run.conf"
@@ -416,6 +428,35 @@ class TestSweepOrder:
             assert main(argv) == 1
         _, rows = _rows(out / "sweep_order.csv")
         assert rows == ["1,nan,nan,nan", "2,nan,nan,nan"]
+
+    def test_failed_order_gives_a_nan_row_and_the_next_order_still_runs(self, small_csv,
+                                                                         tmp_path, capsys):
+        # order 0's basis is the constant 1, so its predictions are constant
+        # and their correlation is undefined
+        out = tmp_path / "run"
+        argv = _train_args(small_csv, str(out), **{"max-epochs": "5"})
+        argv[0:1] = ["sweep-order"]
+        argv += ["--orders", "0,1"]
+        assert main(argv) == 1
+        _, rows = _rows(out / "sweep_order.csv")
+        assert rows[0] == "0,nan,nan,nan"
+        order, *values = rows[1].split(",")
+        assert order == "1" and all(np.isfinite(float(v)) for v in values)
+        err = capsys.readouterr().err
+        assert "FAILED order=0: " in err and "correlation is undefined" in err
+        assert "order=1" not in err
+
+    def test_rerun_rows_identical_apart_from_seconds(self, small_csv, tmp_path):
+        argv = _train_args(small_csv, str(tmp_path / "run"), **{"max-epochs": "5"})
+        argv[0:1] = ["sweep-order"]
+        argv += ["--orders", "1,2"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            header, rows = _rows(tmp_path / "run" / "sweep_order.csv")
+            assert header.endswith(",seconds")
+            runs.append([row.rsplit(",", 1)[0] for row in rows])
+        assert runs[0] == runs[1]
 
 
 class TestSweepLayers:
@@ -603,3 +644,50 @@ class TestHistCommand:
     def test_bad_bins_rejected(self, small_csv, tmp_path):
         assert main(["hist", "--data", small_csv, "--bins", "0",
                      "--out", str(tmp_path / "x")]) == 1
+
+
+class TestMalformedInputs:
+    """Damaged tables and config files end in a named error and exit 1."""
+
+    def test_unclosed_quote_is_a_named_error(self, tmp_path, capsys):
+        # the quoted field runs to the end of the file, past csv's field limit
+        data = tmp_path / "quote.csv"
+        data.write_text('f0,mos\n"1,2\n' + "".join(f"{i},{i}.5\n" for i in range(20000)))
+        out = tmp_path / "x"
+        assert main(["hist", "--data", str(data), "--out", str(out)]) == 1
+        assert "quote.csv is not valid CSV (field larger than field limit" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "bin", "config"])
+    def test_byte_flips_and_truncations_raise_only_named_errors(self, tmp_path, capsys,
+                                                                kind):
+        data = tmp_path / "t.csv"
+        save_table(make_synthetic(5, 2, 1, 0.0, "quadratic", 173), data)
+        path = tmp_path / f"damaged.{kind}"
+        if kind == "config":
+            path.write_text("# hist settings\nseed = 9\nbins = 5\nformat = csv\n"
+                            "timing = off\n")
+            read = lambda: cli._read_config_file(str(path), cli._COMMANDS["hist"][2], "hist")
+            argv = ["hist", "--data", str(data), "--config", str(path)]
+        else:
+            save_table(load_table(data), path, kind)
+            read = lambda: load_table(path, kind)
+            argv = ["hist", "--data", str(path), "--format", kind]
+        clean = path.read_bytes()
+        rng = np.random.default_rng(179)
+        failed = 0
+        for _ in range(100):
+            blob = bytearray(clean)
+            if rng.random() < 0.75:
+                blob[rng.integers(len(blob))] = rng.integers(256)
+            else:
+                del blob[rng.integers(len(blob)):]
+            path.write_bytes(blob)
+            try:
+                read()
+            except (KanregError, OSError):
+                failed += 1
+                assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert 0 < failed < 100
+        capsys.readouterr()

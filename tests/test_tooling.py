@@ -72,7 +72,8 @@ def test_tracer_attributes_a_training_run_to_each_layer(tmp_path, capsys):
     assert code == 0
     calls = collections.Counter(tracer.names)
     for name in ("training.adam_step", "network.forward", "network.backward",
-                 "basis.evaluate"):
+                 "basis.evaluate", "data.load_table", "network.init",
+                 "training.grid_search", "network.save_model", "metrics.evaluate"):
         assert calls[name] >= 1, name
 
 

@@ -1,6 +1,5 @@
 """Optimizer, training loop, early stopping, and the learning-rate grid."""
 
-import time
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,6 @@ from kanreg.training import (
     adam_step,
     grid_search,
     init_adam,
-    measure_time,
     thread_budget,
     train,
 )
@@ -399,17 +397,3 @@ class TestThreadBudget:
                               grid=(1e-4, 1e-3))
             rows[workers] = [(r.learning_rate, r.plcc, r.srcc) for r in got.rows]
         assert rows["1"] == rows["2"]
-
-
-class TestMeasureTime:
-    def test_returns_result_and_seconds(self):
-        value, seconds = measure_time(lambda: 41 + 1)
-        assert value == 42
-        assert seconds >= 0.0
-
-    def test_nested_measurement_dominates(self):
-        def inner():
-            time.sleep(0.01)
-            return measure_time(time.sleep, 0.01)
-        (_, inner_s), outer_s = measure_time(inner)
-        assert outer_s >= inner_s
