@@ -16,6 +16,7 @@ import itertools
 import os
 import struct
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,17 +95,15 @@ def _infer_format(path, fmt: str | None) -> str:
 def load_table(path, fmt: str | None = None) -> FeatureTable:
     fmt = _infer_format(path, fmt)
     name = Path(path).stem
-    if fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                return _load_csv(reader, path, name)
-            except UnicodeDecodeError:  # the text layer decodes whole chunks, not lines
-                raise utf8_error(path) from None
-            except csv.Error as e:  # e.g. an unclosed quote that runs past the field limit
-                raise ParseError(f"{path} is not valid CSV ({e})",
-                                 line=reader.line_num) from None
-    return _load_binary(path, name)
+    if fmt == "bin":
+        return _load_binary(path, name)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            data = _load_csv(fh, path)
+        except UnicodeDecodeError:  # the text layer decodes whole chunks, not lines
+            raise utf8_error(path) from None
+    d = data.shape[1] - 1
+    return FeatureTable(name=name, features=data[:, :d].copy(), scores=data[:, d].copy())
 
 
 def utf8_error(path) -> ParseError:
@@ -121,20 +120,59 @@ def utf8_error(path) -> ParseError:
     return ParseError(f"{path} is not UTF-8 text")
 
 
-def _load_csv(reader, path, name: str) -> FeatureTable:
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty CSV file", line=1)
-    if len(header) < 2 or header[-1].strip() != "mos":
-        raise ParseError("header must end with a 'mos' column after at "
-                         "least one feature column", line=1)
-    d = len(header) - 1
+def _load_csv(fh, path) -> np.ndarray:
+    """The [n, d + 1] values of a CSV table, every cell read as ``float()`` reads it.
+
+    NumPy's C reader parses plain numeric tables in one pass. Whatever it
+    rejects or cannot vouch for (quoted cells, '1_000', full-width digits,
+    a ragged, non-numeric or non-finite cell, no data rows) goes through the
+    row loop, which reads the cell forms only ``float()`` accepts and names
+    the line and column of each error.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty CSV file", line=1)
+        if len(header) < 2 or header[-1].strip() != "mos":
+            raise ParseError("header must end with a 'mos' column after at "
+                             "least one feature column", line=1)
+        data = _load_numeric(fh, len(header))
+        if data is not None:
+            return data
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        return _load_rows(reader, len(header), path)
+    except csv.Error as e:  # e.g. an unclosed quote that runs past the field limit
+        raise ParseError(f"{path} is not valid CSV ({e})", line=reader.line_num) from None
+
+
+def _load_numeric(fh, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` as ``width`` finite columns, or None if NumPy's reader cannot tell."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: the default '#' would read '1#2' as 1
+            data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    if data.shape[0] >= 1 and data.shape[1] == width and np.isfinite(data).all():
+        return data
+    return None
+
+
+def _load_rows(reader, width: int, path) -> np.ndarray:
+    """The row loop: each record through ``float()``, errors at their physical line."""
     rows: list[np.ndarray] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
-        if len(row) != d + 1:
-            raise ParseError(f"expected {d + 1} fields, got {len(row)}", line=lineno)
+        lineno = reader.line_num  # the record's last line; a quoted cell may span lines
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
         try:
             values = np.array(row, dtype=np.float64)  # parses as float() does
         except ValueError:
@@ -152,9 +190,7 @@ def _load_csv(reader, path, name: str) -> FeatureTable:
         rows.append(values)
     if not rows:
         raise InsufficientDataError(f"{path}: no data rows")
-    data = np.stack(rows)
-    del rows  # the row arrays go before the features copy is made
-    return FeatureTable(name=name, features=data[:, :d].copy(), scores=data[:, d].copy())
+    return np.stack(rows)
 
 
 def _load_binary(path, name: str) -> FeatureTable:
@@ -189,10 +225,11 @@ def save_table(table: FeatureTable, path, fmt: str | None = None) -> None:
     if table.scores.shape != (n,):
         raise ShapeError(f"scores shape {table.scores.shape} does not match n={n}")
     if fmt == "csv":  # streamed one line at a time
-        header = ",".join([f"f{j}" for j in range(d)] + ["mos"])
-        lines = (",".join([f"{v:.17g}" for v in row] + [f"{score:.17g}"])
-                 for row, score in zip(table.features, table.scores))
-        _atomic_write(path, (f"{line}\n".encode("utf-8")
+        header = ",".join([f"f{j}" for j in range(d)] + ["mos"]) + "\n"
+        row_fmt = ",".join(["%.17g"] * (d + 1)) + "\n"  # %.17g prints doubles losslessly
+        lines = (row_fmt % (*row.tolist(), score)
+                 for row, score in zip(table.features, table.scores.tolist()))
+        _atomic_write(path, (line.encode("utf-8")
                              for line in itertools.chain([header], lines)))
     else:
         payload = _HEADER.pack(BINARY_MAGIC, BINARY_VERSION, n, d)

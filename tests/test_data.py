@@ -2,12 +2,14 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanreg import data
 from kanreg.data import (
     FeatureTable,
     Standardizer,
@@ -113,6 +115,74 @@ class TestCsv:
             load_table(path)
         assert exc.value.line == 4
         assert exc.value.column == 1
+
+    def test_error_after_multiline_quoted_cell_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('f0,mos\n"1\n",2\nx,3\n')
+        with pytest.raises(ParseError) as exc:
+            load_table(path)
+        assert (exc.value.line, exc.value.column) == (4, 1)
+
+
+def _outcome(path):
+    """What load_table makes of ``path``: the values' bits, or the error and its location."""
+    try:
+        table = load_table(path)
+    except (ParseError, InsufficientDataError) as e:
+        return type(e).__name__, getattr(e, "line", None), getattr(e, "column", None)
+    return table.features.tobytes(), table.scores.tobytes()
+
+
+class TestCsvReadPaths:
+    """NumPy's C reader and the row loop give the same table or the same error."""
+
+    @staticmethod
+    def _row_loop_outcome(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(data, "_load_numeric", lambda fh, width: None)
+            return _outcome(path)
+
+    @pytest.mark.parametrize("cell", [
+        "1_000", " 1 ", "\uff11\uff12", "+1", ".5", "1e-400", "1e400", "nan", "-inf",
+        '"1.5"', "1#2", "1 2", "0x10", "", "2,"])
+    def test_cell_matches_row_loop(self, tmp_path, monkeypatch, cell):
+        path = tmp_path / "c.csv"
+        # last in its line, where a '#' read as a comment would drop the rest
+        path.write_text(f"f0,f1,mos\n0,0,0\n1,2,{cell}\n4,5,6\n", encoding="utf-8")
+        got = _outcome(path)
+        assert got == self._row_loop_outcome(path, monkeypatch)
+        if isinstance(got[1], bytes):  # the cell parsed: float()'s bits
+            assert got[1] == np.array([0, float(cell.strip('"')), 6]).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "f0,mos\n1,2\n   \n3,4\n",
+        "f0,mos\r\n1,2\r\n3,4\r\n",
+        "f0,mos\r1,2\r3,4\r",
+        "f0,mos\n",
+        "f0,mos\n1,2\n\nx,4\n",
+        "f0,mos\n1,2,3\n4,5,6\n",
+    ], ids=["whitespace-line", "crlf", "cr-only", "header-only", "blank-then-bad-cell",
+            "every-row-too-wide"])
+    def test_file_matches_row_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(path)
+        assert got == self._row_loop_outcome(path, monkeypatch)
+
+    def test_saved_table_loads_without_the_row_loop(self, tmp_path, monkeypatch):
+        table = make_synthetic(50, 7, 3, 0.1, "mixed", 11)
+        path = tmp_path / "s.csv"
+        save_table(table, path)
+
+        def row_loop(*args):
+            raise AssertionError("a plain numeric table fell back to the row loop")
+
+        monkeypatch.setattr(data, "_load_rows", row_loop)
+        loaded = load_table(path)
+        np.testing.assert_array_equal(loaded.features, table.features)
+        np.testing.assert_array_equal(loaded.scores, table.scores)
 
 
 def _traced_peak(fn) -> int:

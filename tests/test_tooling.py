@@ -4,6 +4,7 @@ import ast
 import collections
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from kanreg.data import make_synthetic, save_table
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 RUNNER = ROOT / "perfbench" / "run.py"
+SELFTEST = ROOT / "perfbench" / "selftest.py"
 PACKAGE = ROOT / "src" / "kanreg"
 
 
@@ -93,3 +95,11 @@ def test_package_imports_only_numpy_and_the_stdlib():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_benchmark_selftest_passes():
+    # The harness writes its tables with save_table and runs every workload
+    # at toy size; a change to either side that breaks a run fails here.
+    proc = subprocess.run([sys.executable, str(SELFTEST)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
