@@ -38,6 +38,7 @@ from .training import DEFAULT_LR_GRID, TrainConfig, grid_search
 
 _SEED_MASK = (1 << 64) - 1
 _TAU_CHOICES = (0.90, 0.95, 1.00)
+_MAX_BINS = 1_000_000  # --bins ceiling: the histogram allocates per bin (10**12 bins: 7 TiB)
 REPORT_HEADER = "dataset,basis,tau,k,layers,lr,plcc,srcc,seconds,epochs"
 
 
@@ -168,8 +169,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             resolved["basis"] = "wavelet_mexican_hat"
         _basis_spec(resolved)
         _train_config(resolved)
-    if resolved.get("bins", 1) < 1:
-        raise ParameterError(f"--bins must be >= 1, got {resolved['bins']}")
+    if not 1 <= resolved.get("bins", 1) <= _MAX_BINS:
+        raise ParameterError(f"--bins must be in [1, {_MAX_BINS}], got {resolved['bins']}")
     if resolved.get("lr") is not None and not resolved["lr"] > 0.0:  # NaN too
         raise ParameterError(f"--lr must be positive, got {resolved['lr']}")
     for key, rule in _LIST_FLAGS.items():

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -269,70 +267,43 @@ class GridSearchResult:
         return self.rows[self.best_index].learning_rate
 
 
-def _run_trial(net_template, table, splits, config, lr):
-    trial_net = copy.deepcopy(net_template)
-    cfg = replace(config, learning_rate=lr)
-    try:
-        result = train(trial_net, table, splits, cfg)
-        pred = result.val_predictions
-        y_val = table.scores[splits.val]
-        row = TrialRow(learning_rate=lr, plcc=plcc(pred, y_val), srcc=srcc(pred, y_val),
-                       val_loss=result.best_val_loss, seconds=result.wall_seconds,
-                       epochs=result.epochs_run)
-        return row, trial_net, result
-    except (DivergedError, UndefinedCorrelationError) as e:
-        row = TrialRow(learning_rate=lr, plcc=float("nan"), srcc=float("nan"),
-                       val_loss=float("nan"), seconds=0.0, epochs=0, error=str(e))
-        return row, None, None
-
-
-def thread_budget() -> int:
-    """Worker count from KANREG_THREADS (default 1 = serial)."""
-    raw = os.environ.get("KANREG_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"KANREG_THREADS must be an integer, got {raw!r}") from None
-
-
 def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
                 config: TrainConfig, grid=None) -> GridSearchResult:
-    """Train one clone of ``net_template`` per learning rate and select.
+    """Train one clone of ``net_template`` per learning rate, in grid order; select one.
 
     Selection maximizes validation PLCC + SRCC; ties keep the earliest grid
-    entry, so the result does not depend on completion order when trials
-    run on multiple threads (KANREG_THREADS > 1). Diverged trials keep
-    their row with NaN metrics; if every rate diverges a DivergedError
-    summarizing the failures is raised.
+    entry. Only the best network so far is kept: a trial's network is
+    dropped as soon as it loses. Diverged trials keep their row with NaN
+    metrics; if every rate diverges a DivergedError summarizing the
+    failures is raised.
     """
     grid = tuple(DEFAULT_LR_GRID if grid is None else grid)
     if not grid:
         raise ParameterError("learning-rate grid must not be empty")
     if any(not lr > 0.0 for lr in grid):
         raise ParameterError(f"learning rates must be positive, got {grid}")
-    workers = thread_budget()
-    if workers == 1:
-        outcomes = [_run_trial(net_template, table, splits, config, lr) for lr in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(grid))) as pool:
-            futures = [pool.submit(_run_trial, net_template, table, splits, config, lr)
-                       for lr in grid]
-            outcomes = [f.result() for f in futures]
-    rows = [row for row, _, _ in outcomes]
-    best_index = -1
-    best_score = -math.inf
-    for i, row in enumerate(rows):
-        if row.error is not None:
+    y_val = table.scores[splits.val]
+    rows: list[TrialRow] = []
+    best = None  # (score, index, network, result) of the best trial so far
+    for i, lr in enumerate(grid):
+        net = copy.deepcopy(net_template)
+        try:
+            result = train(net, table, splits, replace(config, learning_rate=lr))
+            pred = result.val_predictions
+            row = TrialRow(learning_rate=lr, plcc=plcc(pred, y_val), srcc=srcc(pred, y_val),
+                           val_loss=result.best_val_loss, seconds=result.wall_seconds,
+                           epochs=result.epochs_run)
+        except (DivergedError, UndefinedCorrelationError) as e:
+            rows.append(TrialRow(learning_rate=lr, plcc=float("nan"), srcc=float("nan"),
+                                 val_loss=float("nan"), seconds=0.0, epochs=0, error=str(e)))
             continue
+        rows.append(row)
         score = row.plcc + row.srcc
-        if math.isfinite(score) and score > best_score:
-            best_score = score
-            best_index = i
-    if best_index < 0:
+        if math.isfinite(score) and (best is None or score > best[0]):
+            best = (score, i, net, result)
+    if best is None:
         details = "; ".join(f"lr={row.learning_rate:g}: {row.error}" for row in rows)
         raise DivergedError(f"every learning rate failed: {details}")
-    _, best_net, best_result = outcomes[best_index]
+    _, best_index, best_net, best_result = best
     return GridSearchResult(rows=rows, best_index=best_index,
                             best_net=best_net, best_result=best_result)

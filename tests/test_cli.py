@@ -645,6 +645,18 @@ class TestHistCommand:
         assert main(["hist", "--data", small_csv, "--bins", "0",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bins_above_ceiling_fails_before_the_output_directory(self, small_csv, tmp_path,
+                                                                  capsys, source):
+        # A count past the ceiling would only reach the histogram's allocation.
+        conf = tmp_path / "hist.conf"
+        conf.write_text("bins = 1000001\n")
+        extra = ["--bins", "1000001"] if source == "flag" else ["--config", str(conf)]
+        out = tmp_path / "x"
+        assert main(["hist", "--data", small_csv, "--out", str(out)] + extra) == 1
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()   # so no manifest.json either
+
 
 class TestMalformedInputs:
     """Damaged tables and config files end in a named error and exit 1."""

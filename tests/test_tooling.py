@@ -103,3 +103,12 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(SELFTEST)], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_package_reads_no_environment_variables():
+    # Every setting is a flag or a config key that the manifest records; a
+    # variable read inside the package would be a setting no run records.
+    hits = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if "environ" in line or "getenv" in line]
+    assert hits == []

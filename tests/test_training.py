@@ -1,10 +1,13 @@
 """Optimizer, training loop, early stopping, and the learning-rate grid."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from kanreg import training
 from kanreg.basis import BasisSpec
 from kanreg.data import (
     FeatureTable,
@@ -25,7 +28,6 @@ from kanreg.training import (
     adam_step,
     grid_search,
     init_adam,
-    thread_budget,
     train,
 )
 
@@ -365,35 +367,22 @@ class TestGridSearch:
         val_mse = float(resid @ resid) / resid.size
         assert val_mse == pytest.approx(got.rows[got.best_index].val_loss, rel=1e-9)
 
-
-class TestThreadBudget:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("KANREG_THREADS", raising=False)
-        assert thread_budget() == 1
-        monkeypatch.setenv("KANREG_THREADS", "")
-        assert thread_budget() == 1
-
-    def test_parses_integer(self, monkeypatch):
-        monkeypatch.setenv("KANREG_THREADS", "4")
-        assert thread_budget() == 4
-
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("KANREG_THREADS", "0")
-        assert thread_budget() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("KANREG_THREADS", "many")
-        with pytest.raises(ParameterError):
-            thread_budget()
-
-    def test_parallel_equals_serial(self, latent_4d, monkeypatch):
+    def test_keeps_at_most_one_earlier_network(self, latent_4d, monkeypatch):
+        # A losing trial's network is dropped before the next trial trains,
+        # so a grid of any length holds the best network so far and the new one.
         table, splits = latent_4d
-        rows = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("KANREG_THREADS", workers)
-            net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
-            got = grid_search(net, table, splits,
-                              TrainConfig(max_epochs=10, seed=7),
-                              grid=(1e-4, 1e-3))
-            rows[workers] = [(r.learning_rate, r.plcc, r.srcc) for r in got.rows]
-        assert rows["1"] == rows["2"]
+        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
+        trial_nets, alive = [], []
+        real_train = training.train
+
+        def spy(trial_net, *args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trial_nets))
+            trial_nets.append(weakref.ref(trial_net))
+            return real_train(trial_net, *args)
+
+        monkeypatch.setattr(training, "train", spy)
+        got = grid_search(net, table, splits, TrainConfig(max_epochs=5, seed=7),
+                          grid=(1e-4, 1e-3, 1e-2, 5e-2))
+        assert len(alive) == 4 and max(alive) <= 1
+        assert trial_nets[got.best_index]() is got.best_net
