@@ -438,14 +438,15 @@ def _sweep(command: str, table: FeatureTable, trials) -> tuple[list, list[str]]:
     """Train and score each ``(label, cfg, prepared, spec, dims)`` trial in turn.
 
     Returns one ``(plcc, srcc, seconds)`` per trial, all NaN for a trial that
-    raised a KanregError, and one failure message per such trial.
+    raised a KanregError or ran out of memory, and one failure message per
+    such trial, so the finished rows still reach the CSV.
     """
     results, failures = [], []
     for label, cfg, prepared, spec, dims in trials:
         try:
             search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
-        except KanregError as e:
-            failures.append(f"{label}: {e}")
+        except (KanregError, MemoryError) as e:
+            failures.append(f"{label}: {str(e) or 'out of memory'}")
             results.append((float("nan"),) * 3)
             continue
         seconds = search.best_result.wall_seconds

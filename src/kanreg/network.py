@@ -9,12 +9,11 @@ basis family (or a scaled/shifted Mexican hat for the wavelet family).
 Bounded-domain families receive tanh-squashed layer inputs; the backward
 pass carries the matching chain factor. The module also provides the
 input-size driven architecture rule, a fixed-architecture MLP baseline, and
-versioned model files: a JSON header line followed by raw float64 blocks.
+model files (version 3): a JSON header line followed by raw float64 blocks.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -31,14 +30,13 @@ from .pca import PcaModel, transform as pca_transform
 
 MODEL_FORMAT = "kanreg-model"
 MODEL_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
 
 
 @dataclass
 class KanLayer:
     in_dim: int
     out_dim: int
-    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim]; v1/v2 files: [out, in, b]
+    coeffs: np.ndarray                    # [out_dim, basis_size, in_dim]
     scales: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
     shifts: np.ndarray | None = None      # wavelet only, [out_dim, in_dim]
 
@@ -379,9 +377,7 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 # is a block {"dtype": "<f8", "shape": [...], "offset": byte offset after the
 # header line}, coefficients in their memory order [out, b, in]; scalars stay
 # JSON numbers (Python's float repr round-trips exactly), so values round-trip
-# bit for bit and reruns are byte-identical. Versions 1 (nested lists) and 2
-# (base64 blocks), each a single JSON line with coefficients [out, in, b],
-# still load.
+# bit for bit and reruns are byte-identical. No other version loads.
 
 def _block(arr, name: str, payload: list) -> dict:
     a = np.ascontiguousarray(arr, dtype="<f8")
@@ -480,41 +476,22 @@ class _Payload:
                  f"the payload holds {len(self.data) - end} bytes after its last block")
 
 
-def _finite(value, block: str, payload: _Payload | None) -> np.ndarray:
-    """A float64 array from its block, checked for finite values.
+def _finite(value, block: str, payload: _Payload) -> np.ndarray:
+    """A float64 array from its ``{dtype, shape, offset}`` block in ``payload``.
 
-    With ``payload`` (version 3) the block is ``{dtype, shape, offset}`` into
-    it; without, a v2 base64 block or a v1 nested list (or number). Anything
-    else, a byte count that does not match the shape, or non-finite values
-    (``json.loads`` accepts ``NaN`` and ``Infinity`` literals) raise a
-    FormatError naming ``block``.
+    A missing or malformed block, a byte range outside the payload, or
+    non-finite values raise a FormatError naming ``block``.
     """
     _require(value is not None, f"{block} is missing")
-    if isinstance(value, dict) or payload is not None:
-        _require(isinstance(value, dict), f"{block} is not an array block")
-        _require(value.get("dtype") == "<f8",
-                 f"{block} has dtype {value.get('dtype')!r}, expected '<f8'")
-        shape = value.get("shape")
-        _require(isinstance(shape, list)
-                 and all(type(d) is int and d >= 0 for d in shape),
-                 f"{block} has an invalid shape {shape!r}")
-        nbytes = 8 * math.prod(shape)
-        if payload is not None:
-            arr = payload.take(value.get("offset"), nbytes, block)
-        else:
-            try:
-                raw = base64.b64decode(value.get("data"), validate=True)
-            except (TypeError, ValueError):  # binascii.Error is a ValueError
-                raise FormatError(f"{block} data is not base64") from None
-            _require(len(raw) == nbytes,
-                     f"{block} holds {len(raw)} bytes, shape {shape} needs {nbytes}")
-            arr = np.frombuffer(raw, dtype="<f8")
-        arr = arr.astype(np.float64, copy=payload is None).reshape(shape)  # v2 bytes are read-only
-    else:
-        try:
-            arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise FormatError(f"{block} is not a numeric array") from None
+    _require(isinstance(value, dict), f"{block} is not an array block")
+    _require(value.get("dtype") == "<f8",
+             f"{block} has dtype {value.get('dtype')!r}, expected '<f8'")
+    shape = value.get("shape")
+    _require(isinstance(shape, list)
+             and all(type(d) is int and d >= 0 for d in shape),
+             f"{block} has an invalid shape {shape!r}")
+    arr = payload.take(value.get("offset"), 8 * math.prod(shape), block)
+    arr = arr.astype(np.float64, copy=False).reshape(shape)
     _require(bool(np.all(np.isfinite(arr))), f"{block} holds non-finite values")
     return arr
 
@@ -543,7 +520,7 @@ def _object(doc: dict, key: str, default=None):
 
 
 def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
-                  payload: _Payload | None) -> list[np.ndarray]:
+                  payload: _Payload) -> list[np.ndarray]:
     """The per-layer arrays under ``key``: one per layer, each of its shape."""
     blocks = doc.get(key)
     _require(isinstance(blocks, list) and len(blocks) == len(shapes),
@@ -557,7 +534,7 @@ def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
 
 
 def load_model(path) -> ModelBundle:
-    """Load a model file (version 1, 2 or 3), validating every field."""
+    """Load a version-3 model file, validating every field."""
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.readline().decode("utf-8"))
@@ -572,16 +549,15 @@ def load_model(path) -> ModelBundle:
         _require(doc.get("format") == MODEL_FORMAT,
                  f"not a {MODEL_FORMAT} file (format={doc.get('format')!r})")
         version = doc.get("version")
-        if type(version) is not int or version not in _READABLE_VERSIONS:
+        if type(version) is not int or version != MODEL_VERSION:
             raise UnsupportedVersionError(
-                f"model file version {version!r} is not supported "
-                f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})")
-        payload = _Payload(fh) if version == 3 else None
-        _require(payload is not None or not fh.read().strip(),
-                 f"a version {version} model file is one JSON line, this one has more")
+                f"model file version {version!r} is not supported (expected {MODEL_VERSION})")
+        payload = _Payload(fh)
     dims = doc.get("layer_dims")
     _require(isinstance(dims, list) and len(dims) >= 2, "layer_dims missing or too short")
-    dims = [_count(d, f"layer_dims[{l}]") for l, d in enumerate(dims)]
+    for l, d in enumerate(dims):  # the rule _check_dims applies at init
+        _require(type(d) is int and d >= 1,
+                 f"layer_dims[{l}] must be an integer >= 1, got {d!r}")
     edges = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]  # [out, in] per layer
     family = doc.get("family")
     if family == "mlp":
@@ -594,10 +570,7 @@ def load_model(path) -> ModelBundle:
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"basis is invalid: {e!r}") from None
         b = basis_size(spec)
-        order = (0, 1, 2) if payload is not None else (0, 2, 1)  # v1/v2 hold [out, in, b]
-        coeffs = [np.ascontiguousarray(c.transpose(order)) for c in _layer_blocks(
-            doc, "coeffs", [tuple((dout, b, din)[i] for i in order) for dout, din in edges],
-            payload)]
+        coeffs = _layer_blocks(doc, "coeffs", [(dout, b, din) for dout, din in edges], payload)
         scales = shifts = [None] * len(edges)
         if spec.family == "wavelet_mexican_hat":
             scales = _layer_blocks(doc, "wavelet_scales", edges, payload)
@@ -632,8 +605,7 @@ def load_model(path) -> ModelBundle:
                  and pca.components.shape == (pca.k,) + d,
                  f"pca has mean {d}, eigenvalues {pca.eigenvalues.shape} and components "
                  f"{pca.components.shape} with k={pca.k}; expected [d], [d] and [k, d]")
-    if payload is not None:
-        payload.check_tiled()
+    payload.check_tiled()
     affine = _object(doc, "target_affine", {})
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
                        target_mean=_scalar(affine.get("mean", 0.0), "target_affine.mean"),

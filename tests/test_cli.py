@@ -446,6 +446,28 @@ class TestSweepOrder:
         assert "FAILED order=0: " in err and "correlation is undefined" in err
         assert "order=1" not in err
 
+    def test_trial_out_of_memory_keeps_the_other_rows(self, small_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        def init(dims, spec, rng):
+            if spec.order == 2:
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return init_network(dims, spec, rng)
+
+        monkeypatch.setattr(cli, "init_network", init)
+        out = tmp_path / "run"
+        argv = _train_args(small_csv, str(out), **{"max-epochs": "5"})
+        argv[0:1] = ["sweep-order"]
+        argv += ["--orders", "1,2,3"]
+        assert main(argv) == 1
+        _, rows = _rows(out / "sweep_order.csv")
+        assert [r.split(",")[0] for r in rows] == ["1", "2", "3"]
+        assert rows[1] == "2,nan,nan,nan"
+        for row in (rows[0], rows[2]):
+            assert all(np.isfinite(float(v)) for v in row.split(",")[1:])
+        err = capsys.readouterr().err
+        assert "FAILED order=2: Unable to allocate 7.28 TiB" in err
+        assert "order=1" not in err and "order=3" not in err
+
     def test_rerun_rows_identical_apart_from_seconds(self, small_csv, tmp_path):
         argv = _train_args(small_csv, str(tmp_path / "run"), **{"max-epochs": "5"})
         argv[0:1] = ["sweep-order"]

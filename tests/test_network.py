@@ -1,6 +1,5 @@
 """Network composition, auto-configuration, gradients, and model files."""
 
-import base64
 import copy
 import json
 import re
@@ -399,23 +398,6 @@ class TestCoefficientLayout:
         data = np.frombuffer(payload, dtype="<f8", count=60).reshape(3, 4, 5)
         np.testing.assert_array_equal(data, net.layers[0].coeffs)
 
-    def test_v2_document_loads_as_the_transpose(self, tmp_path):
-        def block(a):
-            return {"dtype": "<f8", "shape": list(a.shape),
-                    "data": base64.b64encode(a.astype("<f8").tobytes()).decode()}
-
-        first = np.arange(60.0).reshape(3, 5, 4)      # [out, in, b]
-        second = -np.arange(12.0).reshape(1, 3, 4)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({
-            "format": "kanreg-model", "version": 2, "family": "chebyshev",
-            "basis": BasisSpec.chebyshev(3).to_dict(), "layer_dims": [5, 3, 1],
-            "coeffs": [block(first), block(second)]}))
-        layers = load_model(path).net.layers
-        for layer, want in zip(layers, (first, second)):
-            np.testing.assert_array_equal(layer.coeffs, want.transpose(0, 2, 1))
-            assert layer.coeffs.flags.c_contiguous
-
 
 def _inference_peak_bytes(net, x) -> int:
     tracemalloc.start()
@@ -565,55 +547,21 @@ class TestMlp:
         assert ok == total
 
 
-def _v1_doc(bundle):
-    """A version-1 model document: every float array as nested JSON lists."""
-    net = bundle.net
-    doc = {"format": "kanreg-model", "version": 1}
-    if isinstance(net, KanNetwork):
-        doc.update(family=net.spec.family, basis=net.spec.to_dict(), layer_dims=net.dims,
-                   coeffs=[layer.coeffs.transpose(0, 2, 1).tolist() for layer in net.layers])
-        if net.spec.family == "wavelet_mexican_hat":
-            doc["wavelet_scales"] = [layer.scales.tolist() for layer in net.layers]
-            doc["wavelet_shifts"] = [layer.shifts.tolist() for layer in net.layers]
-    else:
-        doc.update(family="mlp", layer_dims=net.dims,
-                   mlp_weights=[w.tolist() for w in net.weights],
-                   mlp_biases=[b.tolist() for b in net.biases])
-    doc["target_affine"] = {"mean": bundle.target_mean, "std": bundle.target_std}
-    for name in ("standardizer", "feature_scaler"):
-        std = getattr(bundle, name)
-        doc[name] = None if std is None else {
-            "means": std.means.tolist(), "stds": std.stds.tolist(), "epsilon": std.epsilon}
-    pca = bundle.pca
-    doc["pca"] = None if pca is None else {
-        "mean": pca.mean.tolist(), "components": pca.components.tolist(),
-        "eigenvalues": pca.eigenvalues.tolist(), "k": pca.k, "tau": pca.tau}
-    doc["meta"] = bundle.meta
-    return doc
+def _rewrite(path, field, value):
+    """Set header ``field`` of the version-3 file at ``path`` to ``value``.
 
-
-def _v2_doc(bundle):
-    """A version-2 model document: _v1_doc with every array as a base64 block."""
-    def block(values):
-        a = np.ascontiguousarray(values, dtype="<f8")
-        return {"dtype": "<f8", "shape": list(a.shape),
-                "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-    doc = _v1_doc(bundle)
-    doc["version"] = 2
-    for key in ("coeffs", "wavelet_scales", "wavelet_shifts", "mlp_weights", "mlp_biases"):
-        if key in doc:
-            doc[key] = [block(a) for a in doc[key]]
-    for key, names in [("standardizer", ("means", "stds")), ("feature_scaler", ("means", "stds")),
-                       ("pca", ("mean", "components", "eigenvalues"))]:
-        for name in names if doc[key] is not None else ():
-            doc[key][name] = block(doc[key][name])
-    return doc
-
-
-def _write_v2(path, bundle):
-    """Write ``bundle`` as the version-2 writer did: one compact JSON line."""
-    path.write_text(json.dumps(_v2_doc(bundle), allow_nan=False, separators=(",", ":")) + "\n")
+    Each array in a dict ``value`` becomes a block appended to the payload.
+    """
+    head, _, payload = path.read_bytes().partition(b"\n")
+    doc = json.loads(head)
+    if isinstance(value, dict):
+        value = dict(value)
+        for key, a in value.items():
+            if isinstance(a, np.ndarray):
+                value[key] = {"dtype": "<f8", "shape": list(a.shape), "offset": len(payload)}
+                payload += a.astype("<f8").tobytes()
+    doc[field] = value
+    path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + payload)
 
 
 def _bundle_of(kind):
@@ -641,6 +589,9 @@ def _arrays_of(bundle):
     return arrays + ([] if pca is None else [pca.mean, pca.components, pca.eigenvalues])
 
 
+# the version fields _damage writes in place of 3
+_BAD_VERSIONS = {"version_1": 1, "version_2": 2, "version_4": 4, "version_string": "3"}
+
 # each defect _damage makes, with the error load_model names it by
 _DAMAGE = {
     "truncated": (FormatError, r"standardizer\.stds needs payload bytes"),
@@ -653,6 +604,8 @@ _DAMAGE = {
     "nan": (FormatError, r"standardizer\.means holds non-finite values"),
     "non_utf8": (ParseError, r"is not UTF-8 text: line 1, byte offset 2"),
     "digit_limit": (ParseError, r"malformed model file: Exceeds the limit"),
+    **{case: (UnsupportedVersionError, r"model file version .* is not supported \(expected 3\)")
+       for case in _BAD_VERSIONS},
 }
 
 
@@ -674,6 +627,8 @@ def _damage(path, case):
         doc["coeffs"][1]["offset"] = 0
     elif case == "dtype":
         doc["coeffs"][0]["dtype"] = "<f4"
+    elif case in _BAD_VERSIONS:
+        doc["version"] = _BAD_VERSIONS[case]
     elif case == "nan":
         at = doc["standardizer"]["means"]["offset"] + 8
         payload = payload[:at] + np.array([np.nan], dtype="<f8").tobytes() + payload[at + 8:]
@@ -683,6 +638,38 @@ def _damage(path, case):
     elif case == "digit_limit":
         head = head[:-1] + b',"big":' + b"1" * 5000 + b"}"
     path.write_bytes(head + b"\n" + payload)
+
+
+# The header fields test_malformed_fields_are_named_format_errors breaks, as
+# (field, value, message, or None to match the field's name). _rewrite writes
+# each array in a value as a real block. The ids keep pytest's default form.
+_MALFORMED = [
+    ("layer_dims", ["x", 1], None), ("layer_dims", [3.0, 1], None),
+    ("standardizer", {"stds": [1.0]}, r"standardizer\.means is missing"),
+    ("pca", {"mean": [0.0]}, r"pca\.mean is not an array block"), ("meta", [1], None),
+    ("basis", {"family": "taylor"}, None),
+    ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}}, None),
+    ("standardizer", {"means": np.zeros(6), "stds": np.ones(3)},
+     r"standardizer has means of shape \(6,\) and stds of shape \(3,\)"),
+    ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(2)},
+     r"feature_scaler has means of shape \(3,\) and stds of shape \(2,\)"),
+    ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0]]),
+             "eigenvalues": np.ones(3), "k": 1},
+     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(1, 2\) with k=1"),
+    ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
+             "eigenvalues": np.ones(3), "k": 2},
+     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(1, 3\) with k=2"),
+    ("target_affine", {"mean": [1.0]}, None), ("target_affine", {"std": [2.0]}, None),
+    ("target_affine", {"std": 10**400}, None),
+    ("standardizer", {"means": np.zeros(3), "stds": np.ones(3), "epsilon": [1e-8]},
+     r"standardizer\.epsilon must be a finite number"),
+    ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(3), "epsilon": [1e-8]},
+     r"feature_scaler\.epsilon must be a finite number"),
+    ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
+             "eigenvalues": np.ones(3), "k": 1, "tau": [0.9]},
+     r"pca\.tau must be a finite number"),
+    ("layer_dims", [3, 0, 1], r"layer_dims\[1\] must be an integer >= 1, got 0"),
+]
 
 
 class TestModelFiles:
@@ -717,9 +704,9 @@ class TestModelFiles:
     def test_truncated_file_is_parse_error(self, tmp_path):
         net = init_network([3, 2, 1], BasisSpec.taylor(2), Rng(59))
         path = tmp_path / "model.json"
-        _write_v2(path, ModelBundle(net=net))
-        blob = path.read_text()
-        path.write_text(blob[: len(blob) // 2])
+        save_model(path, ModelBundle(net=net))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: blob.index(b"\n") // 2])  # cut inside the header line
         with pytest.raises(ParseError) as exc:
             load_model(path)
         assert exc.value.offset is not None
@@ -733,135 +720,45 @@ class TestModelFiles:
     def test_unsupported_version(self, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(61))
         path = tmp_path / "model.json"
-        _write_v2(path, ModelBundle(net=net))
-        blob = path.read_text()
-        assert '"version":2' in blob
-        path.write_text(blob.replace('"version":2', '"version":9'))
+        save_model(path, ModelBundle(net=net))
+        _rewrite(path, "version", 9)
         with pytest.raises(UnsupportedVersionError):
             load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(67))
         path = tmp_path / "model.json"
-        _write_v2(path, ModelBundle(net=net))
-        doc = path.read_text().replace('"layer_dims":[3,1]', '"layer_dims":[4,1]')
-        path.write_text(doc)
-        with pytest.raises(FormatError):
+        save_model(path, ModelBundle(net=net))
+        _rewrite(path, "layer_dims", [4, 1])
+        with pytest.raises(FormatError,
+                           match=r"coeffs\[0\] has shape \(1, 3, 3\), expected \(1, 3, 4\)"):
             load_model(path)
 
-    def test_non_finite_values_rejected_naming_the_block(self, tmp_path):
-        raw = np.random.default_rng(89).normal(size=(10, 3))
-        net = init_network([3, 1], BasisSpec.taylor(2), Rng(97))
-        bundle = ModelBundle(net=net, standardizer=fit_standardizer(raw))
-        path = tmp_path / "model.json"
-
-        def rejected(doc, match):
-            path.write_text(json.dumps(doc))
-            with pytest.raises(FormatError, match=match):
-                load_model(path)
-
-        # version 1: NaN/Infinity literals inside nested lists
-        doc = _v1_doc(bundle)
-        doc["coeffs"][0][0][1][2] = float("nan")
-        rejected(doc, r"coeffs\[0\] holds non-finite")
-        assert "NaN" in path.read_text()
-        doc = _v1_doc(bundle)
-        doc["standardizer"]["means"][0] = float("inf")
-        rejected(doc, r"standardizer\.means holds non-finite")
-        assert "Infinity" in path.read_text()
-
-        # version 2: NaN inside a base64 block, and a byte count off its shape
-        _write_v2(path, bundle)
-        clean = json.loads(path.read_text())
-        load_model(path)
-        doc = json.loads(json.dumps(clean))
-        coeffs = net.layers[0].coeffs.transpose(0, 2, 1).copy()
-        coeffs[0, 1, 2] = np.nan
-        doc["coeffs"][0]["data"] = base64.b64encode(coeffs.astype("<f8").tobytes()).decode()
-        rejected(doc, r"coeffs\[0\] holds non-finite")
-        doc = json.loads(json.dumps(clean))
-        doc["standardizer"]["stds"]["shape"] = [4]
-        rejected(doc, r"standardizer\.stds holds 24 bytes, shape \[4\] needs 32")
-
-    @pytest.mark.parametrize("family", ["chebyshev", "wavelet_mexican_hat", "mlp"])
-    def test_version_1_files_load_bit_for_bit(self, family, tmp_path):
-        if family == "mlp":
-            bundle = ModelBundle(net=init_mlp([5, 4, 1], Rng(101)))
-        else:
-            net = init_network([5, 4, 1], ALL_SPECS[family], Rng(101))
-            for layer in net.layers:
-                if layer.scales is not None:
-                    layer.scales *= 1.0 + np.random.default_rng(103).random(layer.scales.shape)
-                    layer.shifts += np.random.default_rng(107).normal(size=layer.shifts.shape)
-            raw = np.random.default_rng(109).normal(size=(30, 5)) * 3.0 + 1.0 / 3.0
-            std = fit_standardizer(raw)
-            pca = pca_fit(apply_standardizer(std, raw), 0.9)
-            bundle = ModelBundle(net=net, standardizer=std, pca=pca,
-                                 feature_scaler=fit_standardizer(raw[:, :2]),
-                                 target_mean=0.1, target_std=2.0 / 3.0)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(_v1_doc(bundle)))
-        loaded = load_model(path)
-        want, _ = params_of(bundle.net)
-        got, _ = params_of(loaded.net)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == np.float64
-            np.testing.assert_array_equal(g, w)
-        if family != "mlp":
-            for a, b in [(loaded.standardizer.means, bundle.standardizer.means),
-                         (loaded.standardizer.stds, bundle.standardizer.stds),
-                         (loaded.feature_scaler.stds, bundle.feature_scaler.stds),
-                         (loaded.pca.mean, bundle.pca.mean),
-                         (loaded.pca.components, bundle.pca.components),
-                         (loaded.pca.eigenvalues, bundle.pca.eigenvalues)]:
-                np.testing.assert_array_equal(a, b)
-            assert loaded.pca.k == bundle.pca.k
-            assert (loaded.target_mean, loaded.target_std) == (0.1, 2.0 / 3.0)
-
-    @pytest.mark.parametrize("field, value", [
-        ("layer_dims", ["x", 1]), ("layer_dims", [3.0, 1]), ("standardizer", {"stds": [1.0]}),
-        ("pca", {"mean": [0.0]}), ("meta", [1]), ("basis", {"family": "taylor"}),
-        ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}}),
-        ("standardizer", {"means": [0.0] * 6, "stds": [1.0] * 3}),
-        ("feature_scaler", {"means": [0.0] * 3, "stds": [1.0] * 2}),
-        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0]], "eigenvalues": [1.0] * 3,
-                 "k": 1}),
-        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0, 0.0]],
-                 "eigenvalues": [1.0] * 3, "k": 2}),
-        ("target_affine", {"mean": [1.0]}), ("target_affine", {"std": [2.0]}),
-        ("target_affine", {"std": 10**400}),
-        ("standardizer", {"means": [0.0] * 3, "stds": [1.0] * 3, "epsilon": [1e-8]}),
-        ("feature_scaler", {"means": [0.0] * 3, "stds": [1.0] * 3, "epsilon": [1e-8]}),
-        ("pca", {"mean": [0.0] * 3, "components": [[1.0, 0.0, 0.0]],
-                 "eigenvalues": [1.0] * 3, "k": 1, "tau": [0.9]})])
-    def test_malformed_fields_are_named_format_errors(self, field, value, tmp_path):
+    @pytest.mark.parametrize("field, value, match", [
+        pytest.param(*case, id=f"{case[0]}-value{i}") for i, case in enumerate(_MALFORMED)])
+    def test_malformed_fields_are_named_format_errors(self, field, value, match, tmp_path):
         net = init_network([3, 1], BasisSpec.taylor(2), Rng(113))
         path = tmp_path / "model.json"
-        _write_v2(path, ModelBundle(net=net))
-        doc = json.loads(path.read_text())
-        doc[field] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=field):
+        save_model(path, ModelBundle(net=net))
+        _rewrite(path, field, value)
+        with pytest.raises(FormatError, match=match or field):
             load_model(path)
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS) + ["mlp"])
-    def test_v3_and_v2_files_load_the_same_arrays_bit_for_bit(self, kind, tmp_path):
+    def test_v3_round_trip_keeps_every_array_bit_for_bit(self, kind, tmp_path):
         bundle = _bundle_of(kind)
-        v3, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
-        save_model(v3, bundle)
-        _write_v2(v2, bundle)
-        assert json.loads(v3.read_bytes().partition(b"\n")[0])["version"] == 3
+        path = tmp_path / "model.json"
+        save_model(path, bundle)
+        assert json.loads(path.read_bytes().partition(b"\n")[0])["version"] == 3
+        loaded = load_model(path)
         want = _arrays_of(bundle)
-        for loaded in (load_model(v3), load_model(v2)):
-            got = _arrays_of(loaded)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable
-                np.testing.assert_array_equal(g, w)
-            assert (loaded.target_mean, loaded.target_std) == (bundle.target_mean,
-                                                                bundle.target_std)
-            assert loaded.meta == bundle.meta
+        got = _arrays_of(loaded)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable
+            np.testing.assert_array_equal(g, w)
+        assert (loaded.target_mean, loaded.target_std) == (bundle.target_mean, bundle.target_std)
+        assert loaded.meta == bundle.meta
 
     @pytest.mark.parametrize("case", list(_DAMAGE))
     def test_v3_damage_is_a_named_error(self, case, tmp_path, capsys):
