@@ -34,7 +34,7 @@ from .network import (ModelBundle, auto_configure, init_mlp, init_network,
 from .pca import fit as fit_pca
 from .pca import select_k
 from .pca import transform as pca_transform
-from .training import DEFAULT_LR_GRID, TrainConfig, grid_search
+from .training import DEFAULT_LR_GRID, TrainConfig, check_splits, grid_search
 
 _SEED_MASK = (1 << 64) - 1
 _TAU_CHOICES = (0.90, 0.95, 1.00)
@@ -43,9 +43,13 @@ REPORT_HEADER = "dataset,basis,tau,k,layers,lr,plcc,srcc,seconds,epochs"
 
 
 def _parse_u64(text: str) -> int:
-    value = int(text)
+    """A seed in [0, 2**64). Raises ArgumentTypeError, whose text argparse prints."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value <= _SEED_MASK:
-        raise ParameterError(f"seed must fit in 64 bits, got {text}")
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
@@ -142,6 +146,8 @@ def _read_config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
         except ValueError:
             raise ParseError(f"bad value for {key!r}: {value!r}",
                              line=lineno) from None
+        except argparse.ArgumentTypeError as e:
+            raise ParseError(f"bad value for {key!r}: {e}", line=lineno) from None
         if choices is not None and values[key] not in choices:
             raise ParseError(f"bad value for {key!r}: {value!r} is not one of "
                              f"{', '.join(choices)}", line=lineno)
@@ -243,6 +249,8 @@ def _start(cfg: dict, command: str, outputs: tuple[str, ...],
     Returns the table and the output paths.
     """
     table = load_table(cfg["data"], cfg["format"])
+    if "basis" in cfg:  # a training command: too few rows fail before the directory
+        check_splits(split(table.n, cfg["seed"]))
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in outputs]
@@ -367,8 +375,8 @@ def _seed_from_models(cfg: dict, command: str, bundles: dict) -> None:
         if seed is not None:
             try:
                 seeds[flag] = _parse_u64(str(seed))
-            except ValueError:
-                raise FormatError(f"{flag} meta seed is not an integer: {seed!r}") from None
+            except argparse.ArgumentTypeError:
+                raise FormatError(f"{flag} meta.seed is malformed: {seed!r}") from None
     distinct = sorted(set(seeds.values()))
     if cfg["seed"] is None:
         if len(distinct) > 1 and cfg["split"] == "test":
@@ -382,6 +390,15 @@ def _seed_from_models(cfg: dict, command: str, bundles: dict) -> None:
                 print(f"{command}: warning: --seed {cfg['seed']} differs from the model's "
                       f"training seed {seed}; the test split will not be the model's "
                       f"held-out rows", file=sys.stderr)
+
+
+def _scored_rows(table: FeatureTable, cfg: dict) -> FeatureTable:
+    """The rows ``--split`` selects: the seeded test split, or the table itself."""
+    if cfg["split"] == "all":
+        return table  # every row, without copying the feature matrix
+    idx = split(table.n, cfg["seed"]).test
+    return FeatureTable(name=table.name, features=table.features[idx],
+                        scores=table.scores[idx])
 
 
 # The meta fields a cross row shows: key -> (converter, value when absent).
@@ -403,8 +420,7 @@ def cmd_cross(cfg: dict) -> int:
             meta[key] = convert(value)
         except (TypeError, ValueError, OverflowError):
             raise FormatError(f"meta.{key} is malformed: {value!r}") from None
-    indices = split(table.n, cfg["seed"]).test if cfg["split"] == "test" else None
-    report = evaluate(bundle, table, indices)
+    report = evaluate(bundle, _scored_rows(table, cfg))
     _write_csv(report_path, REPORT_HEADER, [_report_row(table.name, meta, report, 0.0)])
     print(f"cross: {table.name} n={report.n} PLCC={report.plcc:.6f} "
           f"SRCC={report.srcc:.6f}")
@@ -509,14 +525,10 @@ def cmd_compare(cfg: dict) -> int:
     table, (report_path,) = _start(cfg, "compare", ("compare.csv",),
                                    ("data", "model_a", "model_b"))
 
-    if cfg["split"] == "test":
-        idx = split(table.n, cfg["seed"]).test
-    else:
-        idx = np.arange(table.n)
-    feats = table.features[idx]
-    y = table.scores[idx]
-    preds_a = predict(bundle_a, feats)
-    preds_b = predict(bundle_b, feats)
+    rows = _scored_rows(table, cfg)
+    y = rows.scores
+    preds_a = predict(bundle_a, rows.features)
+    preds_b = predict(bundle_b, rows.features)
     sig = paired_t_test(np.abs(preds_a - y), np.abs(preds_b - y))
     name_a = str(bundle_a.meta.get("basis", "model_a"))
     name_b = str(bundle_b.meta.get("basis", "model_b"))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (FormatError, InsufficientDataError, ParameterError,
                      ParseError, ShapeError, UnsupportedVersionError)
-from .linalg import Rng, column_stats
+from .linalg import Rng, as_matrix
 
 BINARY_MAGIC = b"KANF"
 BINARY_VERSION = 1
@@ -263,9 +263,11 @@ def split(n: int, seed: int) -> SplitIndices:
 
 def fit_standardizer(features, indices=None) -> Standardizer:
     """Column means / population stds over the selected rows only."""
-    rows = features if indices is None else features[np.asarray(indices, dtype=np.int64)]
-    means, stds = column_stats(rows)
-    return Standardizer(means=means, stds=stds)
+    rows = as_matrix(features if indices is None
+                     else features[np.asarray(indices, dtype=np.int64)], "standardizer input")
+    if rows.shape[0] < 1:
+        raise ShapeError("a standardizer needs at least one row")
+    return Standardizer(means=rows.mean(axis=0), stds=rows.std(axis=0))
 
 
 def apply_standardizer(std: Standardizer, features) -> np.ndarray:

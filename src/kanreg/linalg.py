@@ -1,13 +1,12 @@
-"""Dense float64 matrix kernel and the deterministic random stream.
+"""The deterministic random stream, the matrix check and the eigensolver.
 
 Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects (row-major,
-``float64``), which realizes the package's matrix contract directly; the
-helpers here add the shape and symmetry checking the rest of the package
-relies on. The eigensolver is LAPACK's symmetric solver through
-``numpy.linalg.eigh``, and the covariance and Gram products that feed it are
-BLAS matmuls. A rerun on the same machine (same NumPy, BLAS/LAPACK build and
-thread count) gives identical results; other machines agree to rounding,
-not bit for bit.
+``float64``); ``as_matrix`` enforces that shape and ``sym_eig`` adds the
+symmetry and finiteness checks before LAPACK's symmetric solver
+(``numpy.linalg.eigh``). The products it decomposes are formed by their
+caller (``pca.fit``). A rerun on the same machine (same NumPy, BLAS/LAPACK
+build and thread count) gives identical results; other machines agree to
+rounding, not bit for bit.
 
 Large blocks of random draws are computed in lanes: the xoshiro256** state
 update is linear over GF(2), so the state ``j`` steps ahead is a 256x256 bit
@@ -22,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, InsufficientDataError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _DOUBLE_SCALE = 2.0 ** -53
@@ -230,27 +229,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     return np.ascontiguousarray(m)
-
-
-def column_stats(m) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population standard deviation (divisor n)."""
-    m = as_matrix(m)
-    if m.shape[0] < 1:
-        raise ShapeError("column_stats needs at least one row")
-    means = m.mean(axis=0)
-    stds = np.sqrt(np.mean((m - means) ** 2, axis=0))
-    return means, stds
-
-
-def covariance(m) -> np.ndarray:
-    """Sample covariance (divisor n-1) of the rows of ``m``."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
-    centered = m - m.mean(axis=0)
-    cov = (centered.T @ centered) / (n - 1)
-    return (cov + cov.T) / 2.0  # kill accumulation asymmetry
 
 
 def _check_symmetric(m: np.ndarray) -> None:

@@ -6,11 +6,12 @@ ratio. The floor of 64 keeps enough coordinates for the downstream network
 even when the spectrum collapses early; for d < 64 the floor caps at d.
 
 Fitting eigendecomposes whichever of the covariance (d x d) or the Gram
-matrix (n x n) is smaller; both give the same nonzero spectrum, and Gram
-eigenvectors map onto covariance eigenvectors exactly, so tall-thin and
-short-wide data are equally cheap. When the floor asks for more components
-than the covariance rank provides, the remaining rows are a deterministic
-orthonormal completion (eigenvectors of the zero eigenvalue).
+matrix (n x n) of the centred rows is smaller, in one ``sym_eig`` call; both
+give the same nonzero spectrum, and Gram eigenvectors map onto covariance
+eigenvectors exactly. Either route keeps the eigenvectors of the live
+spectrum (above 1e-10 of the largest eigenvalue); when the floor asks for
+more components, the rest are one deterministic orthonormal completion, so
+the components depend on neither the route nor the row order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateDataError, InsufficientDataError, NumericError,
                      ParameterError, ShapeError)
-from .linalg import as_matrix, covariance, sym_eig
+from .linalg import as_matrix, sym_eig
 
 K_FLOOR = 64
 
@@ -117,28 +118,20 @@ def fit(features, tau: float) -> PcaModel:
     if n < 2:
         raise InsufficientDataError(f"pca fit needs at least 2 rows, got {n}")
     mean = x.mean(axis=0)
-    if d <= n:
-        w, available = sym_eig(covariance(x))
-        eigenvalues = _clean_spectrum(w)
+    centered = x - mean
+    gram = d > n
+    product = (centered @ centered.T if gram else centered.T @ centered) / (n - 1)
+    mu, u = sym_eig((product + product.T) / 2.0)  # symmetrize away accumulation skew
+    mu = _clean_spectrum(mu)
+    eigenvalues = np.concatenate([mu, np.zeros(d - mu.size)])
+    live = np.flatnonzero(mu > mu[0] * 1e-10)
+    if gram:  # v = X^T u / sqrt(mu (n - 1)) is the unit covariance eigenvector
+        available = np.array([centered.T @ u[i] / np.sqrt(mu[i] * (n - 1))
+                              for i in live]).reshape(-1, d)
     else:
-        centered = x - mean
-        gram = (centered @ centered.T) / (n - 1)
-        gram = (gram + gram.T) / 2.0
-        mu, u = sym_eig(gram)
-        mu = _clean_spectrum(mu)
-        eigenvalues = np.concatenate([mu, np.zeros(d - n)])
-        tol = max(float(mu[0]), 0.0) * 1e-10
-        keep = mu > tol
-        rows = []
-        for i in np.flatnonzero(keep):
-            v = centered.T @ u[i]
-            rows.append(v / np.sqrt(mu[i] * (n - 1)))
-        available = np.asarray(rows) if rows else np.empty((0, d))
+        available = u[live]
     k = select_k(eigenvalues, tau)
-    if available.shape[0] >= k:
-        components = available[:k]
-    else:
-        components = _orthonormal_completion(available, k, d)
+    components = _orthonormal_completion(available[:k], k, d)
     components = _fix_signs(components)
     return PcaModel(mean=mean, components=components,
                     eigenvalues=eigenvalues, k=k, tau=tau)

@@ -137,6 +137,17 @@ class TrainResult:
     val_predictions: np.ndarray   # raw-scale validation predictions at the best epoch
 
 
+def check_splits(splits: SplitIndices) -> None:
+    """Raise InsufficientDataError unless ``splits`` can train and rank rates.
+
+    Rates are ranked by validation PLCC and SRCC, which need two rows.
+    """
+    if splits.train.size < 1 or splits.val.size < 2:
+        raise InsufficientDataError(
+            f"training needs 1 train and 2 validation rows, got {splits.train.size} and "
+            f"{splits.val.size}; the 70/15/15 split needs a table of at least 14 rows")
+
+
 def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -> TrainResult:
     """Train ``net`` in place on the table's train split; returns the run record.
 
@@ -144,8 +155,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     epoch. A non-finite loss raises DivergedError naming the epoch and
     learning rate.
     """
-    if splits.train.size < 1 or splits.val.size < 1:
-        raise InsufficientDataError("training needs nonempty train and val splits")
+    check_splits(splits)
     x_train = table.features[splits.train]
     y_train_raw = table.scores[splits.train]
     x_val = table.features[splits.val]

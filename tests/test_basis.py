@@ -444,6 +444,14 @@ class TestBasisSpec:
             BasisSpec.bspline(grid_size=2, degree=3)
         with pytest.raises(ParameterError):
             BasisSpec.fourier(n_harmonics=-2)
+        with pytest.raises(ParameterError, match="chebyshev degree must be >= 0"):
+            BasisSpec.chebyshev(n_max=-1)
+        with pytest.raises(ParameterError, match="bspline degree must be >= 0"):
+            BasisSpec.bspline(degree=-1)
+        with pytest.raises(ParameterError, match="spline_part must have family 'bspline'"):
+            BasisSpec.bsrbf(spline=BasisSpec.gaussian_rbf())
+        with pytest.raises(ParameterError, match="rbf_part must have family 'gaussian_rbf'"):
+            BasisSpec.bsrbf(rbf=BasisSpec.bspline())
 
     def test_serialization_round_trip(self):
         specs = [

@@ -137,6 +137,14 @@ class TestTrainCommand:
         _, rows = _rows(out / "report.csv")
         assert rows[0].split(",")[1] == "fourier"
 
+    def test_wavelet_alias_names_the_family(self, small_csv, tmp_path):
+        out = tmp_path / "run"
+        argv = _train_args(small_csv, str(out), basis="wavelet", **{"max-epochs": "3"})
+        assert main(argv) == 0
+        assert _rows(out / "report.csv")[1][0].split(",")[1] == "wavelet_mexican_hat"
+        assert json.loads((out / "manifest.json").read_text())["config"]["basis"] == \
+            "wavelet_mexican_hat"
+
     def test_mlp_baseline_path(self, small_csv, tmp_path):
         out = tmp_path / "run"
         argv = _train_args(small_csv, str(out), basis="mlp",
@@ -157,9 +165,11 @@ class TestTrainCommand:
                                       ["pca", "--taus", "1.5"],
                                       ["pca", "--taus", "0"],
                                       ["sweep-order", "--orders", "0,-1"],
-                                      ["train", "--lr-grid", "0,1e-3"]],
+                                      ["train", "--lr-grid", "0,1e-3"],
+                                      ["sweep-order", "--orders", ","]],
                              ids=["lr-grid", "taus", "orders", "taus-above-one",
-                                  "taus-zero", "orders-negative", "lr-grid-zero"])
+                                  "taus-zero", "orders-negative", "lr-grid-zero",
+                                  "orders-empty"])
     def test_malformed_list_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                               capsys, argv):
         out = tmp_path / "x"
@@ -188,6 +198,37 @@ class TestTrainCommand:
         assert main(argv + ["--data", small_csv, "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()   # so no manifest.json either
+
+    @pytest.mark.parametrize("command", ["train", "sweep-order", "sweep-layers"])
+    def test_too_few_rows_fail_before_the_output_directory(self, tmp_path, capsys,
+                                                           command):
+        data = tmp_path / "ten.csv"
+        save_table(make_synthetic(10, 6, 2), data)
+        out = tmp_path / "x"
+        assert main([command, "--data", str(data), "--out", str(out),
+                     "--lr", "1e-3", "--max-epochs", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "2 validation rows, got 7 and 1" in err
+        assert "at least 14 rows" in err
+        assert not out.exists()   # so no manifest.json either
+
+    def test_fourteen_rows_train(self, tmp_path):
+        data = tmp_path / "fourteen.csv"
+        save_table(make_synthetic(14, 6, 2), data)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--lr", "1e-3", "--max-epochs", "5"]) == 0
+        assert (out / "model.json").exists()
+
+    @pytest.mark.parametrize("seed, rule", [("18446744073709551616", "must fit in 64 bits"),
+                                            ("1.5", "must be an integer")])
+    def test_bad_seed_flag_names_the_rule(self, small_csv, tmp_path, capsys, seed, rule):
+        with pytest.raises(SystemExit) as exc:
+            main(["hist", "--data", small_csv, "--out", str(tmp_path / "x"), "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed {rule}" in err
+        assert "_parse_u64" not in err
 
     def test_missing_data_flag(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "x")]) == 1
@@ -231,7 +272,8 @@ class TestConfigFile:
         assert code == 1
 
     @pytest.mark.parametrize("command, line", [("cross", "split = tset"),
-                                               ("hist", "timing = wal")])
+                                               ("hist", "timing = wal"),
+                                               ("hist", "seed = 18446744073709551616")])
     def test_value_outside_choices_names_the_line(self, small_csv, tmp_path, capsys,
                                                   command, line):
         conf = tmp_path / "bad.conf"
@@ -243,6 +285,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"bad value for {line.split(' = ')[0]!r}" in err
         assert "line 2" in err
+        assert not out.exists()
+
+    def test_unreadable_file_is_a_named_error(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["hist", "--data", small_csv, "--out", str(out),
+                     "--config", str(tmp_path / "absent.conf")])
+        assert code == 1
+        assert "cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_file_is_a_named_error(self, small_csv, tmp_path, capsys):
@@ -325,7 +375,8 @@ class TestCrossCommand:
         assert "layer_dims[0] must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("tau", "abc"), ("k", "x"),
-                                            ("lr", None), ("epochs", "1.5")])
+                                            ("lr", None), ("epochs", "1.5"),
+                                            ("seed", "x"), ("seed", -1)])
     def test_malformed_meta_exits_with_named_error(self, small_csv, tmp_path, capsys,
                                                    key, value):
         model = tmp_path / "m.json"
@@ -544,6 +595,29 @@ class TestCompareCommand:
         assert float(fields[6]) == 0.0
         assert float(fields[7]) == 1.0
         assert fields[8] == "false"
+
+    def test_split_all_scores_the_loaded_rows_uncopied(self, small_csv, tmp_path,
+                                                       monkeypatch):
+        tables, scored = [], []
+
+        def load(*args):
+            tables.append(load_table(*args))
+            return tables[-1]
+
+        def predict(bundle, feats):
+            scored.append(feats)
+            return real_predict(bundle, feats)
+
+        real_predict = cli.predict
+        monkeypatch.setattr(cli, "load_table", load)
+        monkeypatch.setattr(cli, "predict", predict)
+        model = tmp_path / "m.json"
+        save_model(model, _linear_probe_bundle(6, 1.0, 0.0))
+        assert main(["compare", "--data", small_csv, "--model-a", str(model),
+                     "--model-b", str(model), "--split", "all",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(tables) == 1 and len(scored) == 2
+        assert all(np.shares_memory(feats, tables[0].features) for feats in scored)
 
     def test_systematic_offset_is_significant(self, small_csv, tmp_path):
         model_a = tmp_path / "a.json"

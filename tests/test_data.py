@@ -338,6 +338,33 @@ class TestStandardizer:
         std = fit_standardizer(np.array([[1.0], [2.0], [3.0]]))
         assert std.stds[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
 
+    def test_definition_oracle(self):
+        """Column means and population stds (divisor n) against their definition."""
+        feats = np.random.default_rng(5).normal(3.0, 2.0, size=(9, 4))
+        std = fit_standardizer(feats)
+        for j in range(4):
+            col = [float(v) for v in feats[:, j]]
+            mean = sum(col) / len(col)
+            assert std.means[j] == pytest.approx(mean, abs=1e-14)
+            assert std.stds[j] == pytest.approx(
+                (sum((v - mean) ** 2 for v in col) / len(col)) ** 0.5, abs=1e-14)
+
+    def test_constant_column(self):
+        std = fit_standardizer(np.full((3, 1), 5.0))
+        assert std.means[0] == 5.0
+        assert std.stds[0] == 0.0
+
+    def test_single_row(self):
+        std = fit_standardizer(np.array([[3.0, -1.0]]))
+        np.testing.assert_array_equal(std.means, [3.0, -1.0])
+        np.testing.assert_array_equal(std.stds, [0.0, 0.0])
+
+    @pytest.mark.parametrize("indices", [None, []], ids=["no-rows", "no-indices"])
+    def test_empty_rejected(self, indices):
+        feats = np.empty((0, 4)) if indices is None else np.ones((5, 4))
+        with pytest.raises(ShapeError):
+            fit_standardizer(feats, indices)
+
     def test_constant_column_maps_to_zero(self):
         feats = np.full((5, 2), 7.0)
         out = apply_standardizer(fit_standardizer(feats), feats)

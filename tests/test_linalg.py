@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from kanreg.errors import (
     ContractError,
-    InsufficientDataError,
     NumericError,
     ShapeError,
 )
-from kanreg.linalg import LANE_MIN, Rng, as_matrix, column_stats, covariance, sym_eig
+from kanreg.linalg import LANE_MIN, Rng, as_matrix, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -136,51 +135,6 @@ class TestAsMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             as_matrix([1.0, 2.0, 3.0])
-
-
-class TestColumnStats:
-    def test_definition_oracle(self):
-        means, stds = column_stats([[1.0], [2.0], [3.0]])
-        assert means[0] == pytest.approx(2.0, abs=1e-15)
-        assert stds[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-
-    def test_constant_column(self):
-        means, stds = column_stats([[5.0], [5.0], [5.0]])
-        assert means[0] == 5.0
-        assert stds[0] == 0.0
-
-    def test_single_row(self):
-        means, stds = column_stats([[3.0, -1.0]])
-        np.testing.assert_array_equal(means, [3.0, -1.0])
-        np.testing.assert_array_equal(stds, [0.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            column_stats(np.empty((0, 4)))
-
-
-class TestCovariance:
-    def test_identical_rows_zero(self):
-        got = covariance([[1.0, 2.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(got, np.zeros((2, 2)))
-
-    def test_definition_oracle(self):
-        got = covariance([[0.0, 0.0], [2.0, 2.0]])
-        np.testing.assert_allclose(got, [[2.0, 2.0], [2.0, 2.0]], atol=1e-15)
-
-    def test_row_permutation_invariance(self):
-        rows = np.random.default_rng(0).normal(size=(8, 3))
-        np.testing.assert_allclose(covariance(rows), covariance(rows[::-1]), atol=1e-12)
-
-    def test_single_row_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            covariance([[1.0, 2.0]])
-
-    def test_symmetric_and_psd(self):
-        m = covariance(np.random.default_rng(3).normal(size=(20, 6)))
-        np.testing.assert_array_equal(m, m.T)
-        w, _ = sym_eig(m)
-        assert np.all(w >= -1e-9)
 
 
 class TestSymEig:

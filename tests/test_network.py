@@ -122,6 +122,14 @@ class TestInit:
         with pytest.raises(ParameterError):
             init_network([4], BasisSpec.taylor(2), Rng(0))
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ParameterError, match="all layer dims must be >= 1"):
+            init_network([4, 0, 1], BasisSpec.taylor(2), Rng(0))
+
+    def test_mlp_needs_one_output(self):
+        with pytest.raises(ParameterError, match="end in one output"):
+            init_mlp([4, 3, 2], Rng(0))
+
     def test_mlp_init(self):
         net = init_mlp([10, 4, 1], Rng(2))
         assert net.dims == [10, 4, 1]

@@ -130,18 +130,24 @@ class TestFit:
 
         Tiling the rows of a wide matrix flips the fit onto the covariance
         route without moving the mean, the principal directions, or the
-        eigenvalue ratios, so components of the live spectrum must match.
+        eigenvalue ratios. Both routes keep the live spectrum and fill the
+        rest of the k components with the same completion, so every
+        component and the whole projection match, in either row order.
         """
         rng = np.random.default_rng(23)
         x = rng.normal(size=(10, 30))
         wide = fit(x, 0.95)                      # 10 < 30: Gram route
-        tall = fit(np.tile(x, (4, 1)), 0.95)     # 40 > 30: covariance route
-        assert wide.k == tall.k
-        rank = 9  # ten centered rows span at most nine directions
-        np.testing.assert_allclose(wide.components[:rank],
-                                   tall.components[:rank], atol=1e-6)
-        np.testing.assert_allclose(transform(wide, x)[:, :rank],
-                                   transform(tall, x)[:, :rank], atol=1e-6)
+        tiled = np.tile(x, (4, 1))               # 40 > 30: covariance route
+        for tall in (fit(tiled, 0.95), fit(tiled[::-1], 0.95)):
+            assert wide.k == tall.k == 30
+            np.testing.assert_allclose(wide.components, tall.components, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(transform(wide, x), transform(tall, x),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)], ids=["covariance", "gram"])
+    def test_identical_rows_rejected(self, shape):
+        with pytest.raises(DegenerateDataError):
+            fit(np.full(shape, 2.5), 0.95)
 
     def test_low_rank_high_dim_floor(self):
         rng = np.random.default_rng(29)
@@ -150,6 +156,28 @@ class TestFit:
         assert model.k == 64
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(64), atol=1e-8)
+
+
+class TestCovarianceRoute:
+    """The d x d product of ``fit`` (n >= d), checked on small exact cases."""
+
+    def test_definition_oracle(self):
+        # covariance of [[0, 0], [2, 2]] is [[2, 2], [2, 2]]: spectrum (4, 0)
+        model = fit([[0.0, 0.0], [2.0, 2.0]], 1.0)
+        np.testing.assert_allclose(model.eigenvalues, [4.0, 0.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.components[0], [0.5 ** 0.5, 0.5 ** 0.5],
+                                   rtol=0, atol=1e-15)
+
+    def test_row_permutation_invariance(self):
+        rows = np.random.default_rng(0).normal(size=(8, 3))
+        a = fit(rows, 1.0)
+        b = fit(rows[::-1], 1.0)
+        np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.components, b.components, rtol=0, atol=1e-12)
+
+    def test_single_row_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            fit([[1.0, 2.0]], 0.95)
 
 
 class TestTransform:
