@@ -8,9 +8,9 @@ learned coefficients:
 * ``chebyshev``     first-kind Chebyshev polynomials T_0..T_n
 * ``jacobi``        Jacobi polynomials P_n^(alpha, beta)
 * ``hermite``       probabilists' Hermite polynomials He_0..He_n
-* ``gaussian_rbf``  Gaussian bumps exp(-((x - c)/h)^2) at fixed centers
+* ``gaussian_rbf``  Gaussian bumps exp(-((x - c)/h)^2) at 8 fixed centres on [-2, 2]
 * ``bspline``       uniform B-splines on [-1, 1] (Cox-de Boor)
-* ``bsrbf``         concatenation of a bspline block and a gaussian_rbf block
+* ``bsrbf``         a bspline block, then Gaussian bumps at 8 fixed centres on [-1, 1]
 * ``fourier``       [1, cos(pi x), sin(pi x), ..., cos(N pi x), sin(N pi x)]
 
 The ninth, ``wavelet_mexican_hat``, has a single learned amplitude per edge
@@ -27,12 +27,12 @@ The bounded-domain families (see :data:`SQUASHED_FAMILIES`) expect inputs in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError, json_number
 
 FAMILIES = (
     "taylor",
@@ -54,8 +54,10 @@ SQUASHED_FAMILIES = frozenset(
 # Families whose basis function 0 is the constant 1 (see network.BIAS_MIN).
 CONSTANT_FIRST_FAMILIES = frozenset({"taylor", "chebyshev", "jacobi", "hermite", "fourier"})
 
-_RBF_CENTERS_WIDE = tuple(float(c) for c in np.linspace(-2.0, 2.0, 8))
-_RBF_CENTERS_UNIT = tuple(float(c) for c in np.linspace(-1.0, 1.0, 8))
+# The fixed RBF grids, (centres, width h), by family: gaussian_rbf spans
+# [-2, 2], bsrbf's RBF half the bspline domain [-1, 1].
+_RBF_GRIDS = {"gaussian_rbf": (np.linspace(-2.0, 2.0, 8), 4.0 / 7.0),
+              "bsrbf": (np.linspace(-1.0, 1.0, 8), 2.0 / 7.0)}
 
 # Mexican hat normalization 2 / sqrt(3 sqrt(pi)); peak value at 0.
 MEXICAN_HAT_PEAK = 2.0 / math.sqrt(3.0 * math.sqrt(math.pi))
@@ -63,11 +65,11 @@ MEXICAN_HAT_PEAK = 2.0 / math.sqrt(3.0 * math.sqrt(math.pi))
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Tagged selection of one basis family plus its hyperparameters.
+    """One basis family plus the fields its CLI flags set (and taylor's center).
 
-    Only the fields relevant to ``family`` are meaningful; the factory
-    classmethods build well-formed specs and direct construction is
-    validated the same way.
+    Only the fields :data:`FAMILY_FIELDS` lists for ``family`` are meaningful;
+    the factory classmethods build well-formed specs and direct construction
+    is validated the same way.
     """
 
     family: str
@@ -76,13 +78,9 @@ class BasisSpec:
     n_max: int = 4                 # chebyshev / jacobi / hermite: highest degree
     alpha: float = 1.0             # jacobi
     beta: float = 1.0              # jacobi
-    centers: tuple[float, ...] = _RBF_CENTERS_WIDE   # gaussian_rbf
-    bandwidth: float = 4.0 / 7.0                     # gaussian_rbf
-    grid_size: int = 5             # bspline: interior cells on [-1, 1]
-    degree: int = 3                # bspline
+    grid_size: int = 5             # bspline / bsrbf: interior cells on [-1, 1]
+    degree: int = 3                # bspline / bsrbf
     n_harmonics: int = 4           # fourier
-    spline_part: "BasisSpec | None" = field(default=None)  # bsrbf
-    rbf_part: "BasisSpec | None" = field(default=None)     # bsrbf
 
     def __post_init__(self):
         f = self.family
@@ -95,29 +93,14 @@ class BasisSpec:
         if f == "jacobi" and not (self.alpha > -1.0 and self.beta > -1.0):  # NaN too
             raise ParameterError(
                 f"jacobi requires alpha > -1 and beta > -1, got alpha={self.alpha}, beta={self.beta}")
-        if f == "gaussian_rbf":
-            if len(self.centers) < 1:
-                raise ParameterError("gaussian_rbf needs at least one center")
-            if not self.bandwidth > 0.0:
-                raise ParameterError(f"gaussian_rbf bandwidth must be positive, got {self.bandwidth}")
-        if f == "bspline":
+        if f in ("bspline", "bsrbf"):
             if self.degree < 0:
-                raise ParameterError(f"bspline degree must be >= 0, got {self.degree}")
+                raise ParameterError(f"{f} degree must be >= 0, got {self.degree}")
             if self.grid_size < self.degree + 1:
                 raise ParameterError(
-                    f"bspline grid_size must be >= degree + 1, got grid_size={self.grid_size} degree={self.degree}")
+                    f"{f} grid_size must be >= degree + 1, got grid_size={self.grid_size} degree={self.degree}")
         if f == "fourier" and self.n_harmonics < 0:
             raise ParameterError(f"fourier harmonics must be >= 0, got {self.n_harmonics}")
-        if f == "bsrbf":
-            spline = self.spline_part or BasisSpec.bspline()
-            rbf = self.rbf_part or BasisSpec.gaussian_rbf(
-                centers=_RBF_CENTERS_UNIT, bandwidth=2.0 / 7.0)
-            if spline.family != "bspline":
-                raise ParameterError("bsrbf spline_part must have family 'bspline'")
-            if rbf.family != "gaussian_rbf":
-                raise ParameterError("bsrbf rbf_part must have family 'gaussian_rbf'")
-            object.__setattr__(self, "spline_part", spline)
-            object.__setattr__(self, "rbf_part", rbf)
 
     @classmethod
     def taylor(cls, order: int = 2, center: float = 0.0) -> "BasisSpec":
@@ -136,17 +119,16 @@ class BasisSpec:
         return cls(family="hermite", n_max=n_max)
 
     @classmethod
-    def gaussian_rbf(cls, centers=_RBF_CENTERS_WIDE, bandwidth: float = 4.0 / 7.0) -> "BasisSpec":
-        return cls(family="gaussian_rbf", centers=tuple(float(c) for c in centers),
-                   bandwidth=float(bandwidth))
+    def gaussian_rbf(cls) -> "BasisSpec":
+        return cls(family="gaussian_rbf")
 
     @classmethod
     def bspline(cls, grid_size: int = 5, degree: int = 3) -> "BasisSpec":
         return cls(family="bspline", grid_size=grid_size, degree=degree)
 
     @classmethod
-    def bsrbf(cls, spline: "BasisSpec | None" = None, rbf: "BasisSpec | None" = None) -> "BasisSpec":
-        return cls(family="bsrbf", spline_part=spline, rbf_part=rbf)
+    def bsrbf(cls, grid_size: int = 5, degree: int = 3) -> "BasisSpec":
+        return cls(family="bsrbf", grid_size=grid_size, degree=degree)
 
     @classmethod
     def wavelet(cls) -> "BasisSpec":
@@ -160,42 +142,35 @@ class BasisSpec:
         return self.family in SQUASHED_FAMILIES
 
     def to_dict(self) -> dict:
-        d = {"family": self.family}
-        for attr, _, _ in FAMILY_FIELDS[self.family]:
-            value = getattr(self, attr)
-            if isinstance(value, BasisSpec):
-                value = value.to_dict()
-            d[attr.removesuffix("_part")] = list(value) if isinstance(value, tuple) else value
-        return d
+        return {"family": self.family,
+                **{attr: getattr(self, attr) for attr, _, _ in FAMILY_FIELDS[self.family]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
+        """The spec of a model file's ``basis`` object, which holds exactly its family's fields."""
         f = d.get("family")
-        if f not in FAMILY_FIELDS:
-            raise ParameterError(f"unknown basis family in serialized spec: {f!r}")
-        fields = {}
-        for attr, read, _ in FAMILY_FIELDS[f]:
-            if attr != "center" or attr in d:  # a file without a center expands at 0
-                fields[attr] = read(d[attr.removesuffix("_part")])
-        return cls(family=f, **fields)
+        if f not in FAMILIES:
+            raise FormatError(f"basis has unknown family {f!r}")
+        fields = FAMILY_FIELDS[f]
+        extra = sorted(set(d) - {"family"} - {attr for attr, _, _ in fields})
+        if extra:
+            raise FormatError(f"basis holds fields that {f} does not store: {', '.join(extra)}")
+        return cls(family=f, **{attr: json_number(d.get(attr), kind, f"basis.{attr}")
+                                for attr, kind, _ in fields})
 
 
 # Per family, the spec fields a model file stores, in file order:
-# (attribute, reader, CLI key). The file key is the attribute without its
-# "_part" suffix. The CLI key names the flag that sets the field (None: the
-# default always holds); for bsrbf's spline part it names the family whose
-# flags build the nested spec.
+# (attribute, type, CLI key). The CLI key is the _FLAGS key of the flag that
+# sets the field; taylor's center has none, so it always expands at 0 there.
 FAMILY_FIELDS = {
     "taylor": (("order", int, "order"), ("center", float, None)),
     "chebyshev": (("n_max", int, "order"),),
     "jacobi": (("n_max", int, "order"), ("alpha", float, "alpha"),
                ("beta", float, "beta")),
     "hermite": (("n_max", int, "order"),),
-    "gaussian_rbf": (("centers", lambda c: tuple(map(float, c)), None),
-                     ("bandwidth", float, None)),
+    "gaussian_rbf": (),
     "bspline": (("grid_size", int, "grid_size"), ("degree", int, "degree")),
-    "bsrbf": (("spline_part", BasisSpec.from_dict, "bspline"),
-              ("rbf_part", BasisSpec.from_dict, None)),
+    "bsrbf": (("grid_size", int, "grid_size"), ("degree", int, "degree")),
     "wavelet_mexican_hat": (),
     "fourier": (("n_harmonics", int, "harmonics"),),
 }
@@ -209,11 +184,11 @@ def basis_size(spec: BasisSpec) -> int:
     if f in ("chebyshev", "jacobi", "hermite"):
         return spec.n_max + 1
     if f == "gaussian_rbf":
-        return len(spec.centers)
+        return len(_RBF_GRIDS[f][0])
     if f == "bspline":
         return spec.grid_size + spec.degree
     if f == "bsrbf":
-        return basis_size(spec.spline_part) + basis_size(spec.rbf_part)
+        return spec.grid_size + spec.degree + len(_RBF_GRIDS[f][0])
     if f == "fourier":
         return 2 * spec.n_harmonics + 1
     return 1  # wavelet_mexican_hat: one amplitude per edge
@@ -303,11 +278,12 @@ def _hermite(xf: np.ndarray, spec: BasisSpec):
     return vals, _appell_derivative(vals)
 
 
-def _gaussian_rbf(xf: np.ndarray, spec: BasisSpec):
-    """Gaussian bumps exp(-u^2), u = (x - c)/h, one per center."""
-    u = (xf[:, None] - np.array(spec.centers)[:, None]) / spec.bandwidth
+def _rbf(xf: np.ndarray, spec: BasisSpec):
+    """Gaussian bumps exp(-u^2), u = (x - c)/h, at the family's fixed grid."""
+    grid, h = _RBF_GRIDS[spec.family]
+    u = (xf[:, None] - grid[:, None]) / h
     vals = np.exp(-u * u)
-    return vals, lambda: (-2.0 / spec.bandwidth) * u * vals
+    return vals, lambda: (-2.0 / h) * u * vals
 
 
 def _bspline(xf: np.ndarray, spec: BasisSpec):
@@ -350,9 +326,9 @@ def _bspline(xf: np.ndarray, spec: BasisSpec):
 
 
 def _bsrbf(xf: np.ndarray, spec: BasisSpec):
-    """Concatenated bspline and gaussian_rbf blocks."""
-    sv, sd = _bspline(xf, spec.spline_part)
-    rv, rd = _gaussian_rbf(xf, spec.rbf_part)
+    """The spec's bspline block, then Gaussian bumps on the [-1, 1] grid."""
+    sv, sd = _bspline(xf, spec)
+    rv, rd = _rbf(xf, spec)
     return np.concatenate([sv, rv], axis=1), lambda: np.concatenate([sd(), rd()], axis=1)
 
 
@@ -382,7 +358,7 @@ _KERNELS = {
     "chebyshev": _chebyshev,
     "jacobi": _jacobi,
     "hermite": _hermite,
-    "gaussian_rbf": _gaussian_rbf,
+    "gaussian_rbf": _rbf,
     "bspline": _bspline,
     "bsrbf": _bsrbf,
     "fourier": _fourier,

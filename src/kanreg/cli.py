@@ -26,7 +26,8 @@ import numpy as np
 from .basis import FAMILIES, FAMILY_FIELDS, BasisSpec
 from .data import (FeatureTable, apply_standardizer, atomic_write_text,
                    fit_standardizer, load_table, mos_histogram, split, utf8_error)
-from .errors import FormatError, KanregError, ParameterError, ParseError
+from .errors import (FormatError, InsufficientDataError, KanregError, ParameterError,
+                     ParseError)
 from .linalg import Rng
 from .metrics import EvalReport, evaluate, paired_t_test, plcc, srcc
 from .network import (ModelBundle, auto_configure, init_mlp, init_network,
@@ -67,8 +68,8 @@ _FLAGS = {
     "basis": (str, "taylor", FAMILIES + ("wavelet", "mlp"), None),
     "order": (int, 2, None, "expansion order / max degree"),
     "harmonics": (int, 4, None, "fourier harmonics"),
-    "grid_size": (int, 5, None, None),
-    "degree": (int, 3, None, "bspline degree"),
+    "grid_size": (int, 5, None, "bspline and bsrbf grid cells"),
+    "degree": (int, 3, None, "bspline and bsrbf degree"),
     "alpha": (float, 1.0, None, "jacobi alpha"),
     "beta": (float, 1.0, None, "jacobi beta"),
     "tau": (float, 0.95, None, "PCA variance ratio: 0.90, 0.95, or 1.0"),
@@ -202,17 +203,13 @@ def _parse_list(text: str, flag: str, rule) -> tuple:
     return values
 
 
-def _basis_spec(cfg: dict, family: str | None = None) -> BasisSpec | None:
-    """The spec the CLI keys in ``cfg`` select; None means the MLP baseline.
-
-    A field whose CLI key names a family is a nested spec built from ``cfg``.
-    """
-    family = family or cfg["basis"]
+def _basis_spec(cfg: dict) -> BasisSpec | None:
+    """The spec the CLI keys in ``cfg`` select; None means the MLP baseline."""
+    family = cfg["basis"]
     if family == "mlp":
         return None
-    fields = {attr: _basis_spec(cfg, key) if key in FAMILY_FIELDS else cfg[key]
-              for attr, _, key in FAMILY_FIELDS.get(family, ()) if key}
-    return BasisSpec(family=family, **fields)
+    fields = FAMILY_FIELDS[family]
+    return BasisSpec(family=family, **{attr: cfg[key] for attr, _, key in fields if key})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -249,8 +246,13 @@ def _start(cfg: dict, command: str, outputs: tuple[str, ...],
     Returns the table and the output paths.
     """
     table = load_table(cfg["data"], cfg["format"])
-    if "basis" in cfg:  # a training command: too few rows fail before the directory
+    # a table too small for the split a command fits on fails before the directory
+    if "basis" in cfg:  # a training command
         check_splits(split(table.n, cfg["seed"]))
+    elif command == "pca" and (n_train := split(table.n, cfg["seed"]).train.size) < 2:
+        raise InsufficientDataError(
+            f"pca fits on the train split, which needs 2 rows, got {n_train}; "
+            f"the 70/15/15 split needs a table of at least 5 rows")
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in outputs]

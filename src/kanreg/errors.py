@@ -2,10 +2,12 @@
 
 All exceptions derive from :class:`KanregError` so callers can catch the
 library's failures with a single handler while the CLI maps them to exit
-codes.
+codes. :func:`json_number` is the one check of a number a model file holds.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class KanregError(Exception):
@@ -48,6 +50,21 @@ class ParseError(KanregError, ValueError):
 
 class FormatError(KanregError, ValueError):
     """A binary payload violates the declared container format."""
+
+
+def json_number(value, kind: type, name: str):
+    """``value`` as ``kind``: int takes a JSON integer (not a bool), float any
+    finite JSON number. Anything else is a FormatError naming ``name``.
+    """
+    try:
+        ok = type(value) is int if kind is int else (
+            type(value) in (int, float) and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise FormatError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 class UnsupportedVersionError(KanregError, ValueError):

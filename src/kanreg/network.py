@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import CONSTANT_FIRST_FAMILIES, BasisSpec, basis_size, evaluate_basis, mexican_hat
 from .errors import (ContractError, FormatError, NumericError, ParameterError,
-                     ParseError, ShapeError, UnsupportedVersionError)
+                     ParseError, ShapeError, UnsupportedVersionError, json_number)
 from .linalg import Rng
 from .data import Standardizer, _atomic_write, apply_standardizer, utf8_error
 from .pca import PcaModel, transform as pca_transform
@@ -496,27 +496,13 @@ def _finite(value, block: str, payload: _Payload) -> np.ndarray:
     return arr
 
 
-def _scalar(value, field_name: str) -> float:
-    """A finite JSON number as a float; anything else is a FormatError."""
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    _require(math.isfinite(number), f"{field_name} must be a finite number, got {value!r}")
-    return number
-
-
-def _count(value, field_name: str) -> int:
-    _require(type(value) is int, f"{field_name} must be an integer, got {value!r}")
-    return value
-
-
-def _object(doc: dict, key: str, default=None):
-    value = doc.get(key)
-    if value is None:
-        return default
-    _require(isinstance(value, dict), f"{key} must be a JSON object")
-    return value
+def _object(doc: dict, key: str, nullable: bool = False) -> dict | None:
+    """The JSON object under ``key``, which every file holds; null only if ``nullable``."""
+    _require(key in doc, f"{key} is missing")
+    if doc[key] is None and nullable:
+        return None
+    _require(isinstance(doc[key], dict), f"{key} must be a JSON object")
+    return doc[key]
 
 
 def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
@@ -566,9 +552,11 @@ def load_model(path) -> ModelBundle:
             biases=_layer_blocks(doc, "mlp_biases", [(dout,) for dout, _ in edges], payload))
     else:
         try:
-            spec = BasisSpec.from_dict(_object(doc, "basis", {"family": family}))
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"basis is invalid: {e!r}") from None
+            spec = BasisSpec.from_dict(_object(doc, "basis"))
+        except ParameterError as e:
+            raise FormatError(f"basis is invalid: {e}") from None
+        _require(spec.family == family,
+                 f"family {family!r} does not match basis.family {spec.family!r}")
         b = basis_size(spec)
         coeffs = _layer_blocks(doc, "coeffs", [(dout, b, din) for dout, din in edges], payload)
         scales = shifts = [None] * len(edges)
@@ -580,7 +568,7 @@ def load_model(path) -> ModelBundle:
             for (dout, din), c, s, t in zip(edges, coeffs, scales, shifts)])
 
     def _std_from(name):
-        block = _object(doc, name)
+        block = _object(doc, name, nullable=True)
         if block is None:
             return None
         means = _finite(block.get("means"), f"{name}.means", payload)
@@ -588,26 +576,27 @@ def load_model(path) -> ModelBundle:
         _require(means.ndim == 1 and stds.shape == means.shape,
                  f"{name} has means of shape {means.shape} and stds of shape {stds.shape}")
         return Standardizer(means=means, stds=stds,
-                            epsilon=_scalar(block.get("epsilon", 1e-8), f"{name}.epsilon"))
+                            epsilon=json_number(block.get("epsilon"), float, f"{name}.epsilon"))
 
     std = _std_from("standardizer")
     scaler = _std_from("feature_scaler")
     pca = None
-    p = _object(doc, "pca")
+    p = _object(doc, "pca", nullable=True)
     if p is not None:
         pca = PcaModel(mean=_finite(p.get("mean"), "pca.mean", payload),
                        components=_finite(p.get("components"), "pca.components", payload),
                        eigenvalues=_finite(p.get("eigenvalues"), "pca.eigenvalues", payload),
-                       k=_count(p.get("k"), "pca.k"),
-                       tau=_scalar(p["tau"], "pca.tau") if p.get("tau") is not None else None)
+                       k=json_number(p.get("k"), int, "pca.k"),
+                       tau=None if p.get("tau") is None else json_number(p["tau"], float, "pca.tau"))
         d = pca.mean.shape
         _require(len(d) == 1 and pca.eigenvalues.shape == d
                  and pca.components.shape == (pca.k,) + d,
                  f"pca has mean {d}, eigenvalues {pca.eigenvalues.shape} and components "
                  f"{pca.components.shape} with k={pca.k}; expected [d], [d] and [k, d]")
+        _require("tau" in p, "pca.tau is missing")
     payload.check_tiled()
-    affine = _object(doc, "target_affine", {})
+    affine = _object(doc, "target_affine")
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
-                       target_mean=_scalar(affine.get("mean", 0.0), "target_affine.mean"),
-                       target_std=_scalar(affine.get("std", 1.0), "target_affine.std"),
-                       meta=_object(doc, "meta", {}))
+                       target_mean=json_number(affine.get("mean"), float, "target_affine.mean"),
+                       target_std=json_number(affine.get("std"), float, "target_affine.std"),
+                       meta=_object(doc, "meta"))

@@ -5,6 +5,7 @@ Each family is checked two ways: against an independently coded oracle
 against central finite differences for the input derivative.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanreg import cli
 from kanreg.basis import (
     FAMILIES,
+    FAMILY_FIELDS,
     MEXICAN_HAT_PEAK,
     SQUASHED_FAMILIES,
     BasisSpec,
@@ -209,40 +212,42 @@ class TestHermite:
                                 np.random.default_rng(6).uniform(-2.0, 2.0, 100))
 
 
+# The fixed grids, (centers, bandwidth), of gaussian_rbf and of bsrbf's RBF half.
+_WIDE_GRID = (np.linspace(-2.0, 2.0, 8), 4.0 / 7.0)
+_UNIT_GRID = (np.linspace(-1.0, 1.0, 8), 2.0 / 7.0)
+
+
+def _rbf_oracle(xs, grid):
+    """exp(-u^2) and its x-derivative, u = (x - c)/h, one column per center."""
+    centers, h = grid
+    u = (xs[:, None] - centers[None, :]) / h
+    return np.exp(-u * u), -2.0 * u / h * np.exp(-u * u)
+
+
 class TestGaussianRbf:
-    CENTERS = (-1.0, 0.0, 1.0)
+    CENTERS, H = _WIDE_GRID
 
     def test_unit_at_center(self):
-        vals, _ = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), 0.0)
-        assert vals[1] == 1.0
+        vals, _ = _eval(BasisSpec.gaussian_rbf(), self.CENTERS)
+        np.testing.assert_array_equal(np.diag(vals), 1.0)
 
     def test_one_bandwidth_away(self):
-        vals, _ = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), 1.5)
-        assert vals[2] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        vals, _ = _eval(BasisSpec.gaussian_rbf(), self.CENTERS + self.H)
+        np.testing.assert_allclose(np.diag(vals), math.exp(-1.0), rtol=0.0, atol=1e-15)
 
     def test_derivative_zero_at_center(self):
-        _, d = _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.7), -1.0)
-        assert d[0] == 0.0
+        _, d = _eval(BasisSpec.gaussian_rbf(), self.CENTERS)
+        np.testing.assert_array_equal(np.diag(d), 0.0)
 
     def test_formula_oracle(self):
         xs = np.random.default_rng(7).uniform(-2.5, 2.5, size=50)
-        h = 0.6
-        vals, d = _eval(BasisSpec.gaussian_rbf(self.CENTERS, h), xs)
-        for i, c in enumerate(self.CENTERS):
-            u = (xs - c) / h
-            np.testing.assert_allclose(vals[:, i], np.exp(-u * u), atol=1e-14)
-            np.testing.assert_allclose(d[:, i], -2.0 * u / h * np.exp(-u * u), atol=1e-12)
-
-    def test_bad_bandwidth(self):
-        with pytest.raises(ParameterError):
-            _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.0), 0.0)
-
-    def test_no_centers(self):
-        with pytest.raises(ParameterError):
-            _eval(BasisSpec.gaussian_rbf((), 1.0), 0.0)
+        vals, d = _eval(BasisSpec.gaussian_rbf(), xs)
+        oracle_vals, oracle_d = _rbf_oracle(xs, _WIDE_GRID)
+        np.testing.assert_allclose(vals, oracle_vals, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(d, oracle_d, rtol=0.0, atol=1e-12)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: _eval(BasisSpec.gaussian_rbf(self.CENTERS, 0.5), x),
+        _check_input_derivative(lambda x: _eval(BasisSpec.gaussian_rbf(), x),
                                 np.random.default_rng(8).uniform(-2.0, 2.0, 100))
 
 
@@ -326,13 +331,15 @@ class TestBsrbf:
         assert vals.shape == (16,) and d.shape == (16,)
 
     def test_equals_parts(self):
-        spec = BasisSpec.bsrbf()
         xs = np.linspace(-0.9, 0.9, 11)
-        vals, d = _eval(spec, xs)
-        sv, sd = _eval(spec.spline_part, xs)
-        rv, rd = _eval(spec.rbf_part, xs)
-        np.testing.assert_array_equal(vals, np.concatenate([sv, rv], axis=-1))
-        np.testing.assert_array_equal(d, np.concatenate([sd, rd], axis=-1))
+        vals, d = _eval(BasisSpec.bsrbf(7, 2), xs)
+        sv, sd = _eval(BasisSpec.bspline(7, 2), xs)
+        rv, rd = _rbf_oracle(xs, _UNIT_GRID)
+        assert vals.shape == (11, 9 + 8)
+        np.testing.assert_array_equal(vals[:, :9], sv)
+        np.testing.assert_array_equal(d[:, :9], sd)
+        np.testing.assert_allclose(vals[:, 9:], rv, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(d[:, 9:], rd, rtol=0.0, atol=1e-12)
 
 
 class TestWavelet:
@@ -439,19 +446,17 @@ class TestBasisSpec:
         with pytest.raises(ParameterError):
             BasisSpec.jacobi(alpha=-1.0)
         with pytest.raises(ParameterError):
-            BasisSpec.gaussian_rbf(centers=())
-        with pytest.raises(ParameterError):
             BasisSpec.bspline(grid_size=2, degree=3)
+        with pytest.raises(ParameterError, match="bsrbf grid_size must be >= degree"):
+            BasisSpec.bsrbf(grid_size=2, degree=3)
         with pytest.raises(ParameterError):
             BasisSpec.fourier(n_harmonics=-2)
         with pytest.raises(ParameterError, match="chebyshev degree must be >= 0"):
             BasisSpec.chebyshev(n_max=-1)
         with pytest.raises(ParameterError, match="bspline degree must be >= 0"):
             BasisSpec.bspline(degree=-1)
-        with pytest.raises(ParameterError, match="spline_part must have family 'bspline'"):
-            BasisSpec.bsrbf(spline=BasisSpec.gaussian_rbf())
-        with pytest.raises(ParameterError, match="rbf_part must have family 'gaussian_rbf'"):
-            BasisSpec.bsrbf(rbf=BasisSpec.bspline())
+        with pytest.raises(ParameterError, match="bsrbf degree must be >= 0"):
+            BasisSpec.bsrbf(degree=-1)
 
     def test_serialization_round_trip(self):
         specs = [
@@ -459,14 +464,24 @@ class TestBasisSpec:
             BasisSpec.chebyshev(6),
             BasisSpec.jacobi(4, alpha=0.2, beta=1.4),
             BasisSpec.hermite(5),
-            BasisSpec.gaussian_rbf(centers=(-1.0, 0.0, 2.0), bandwidth=0.9),
+            BasisSpec.gaussian_rbf(),
             BasisSpec.bspline(6, 2),
             BasisSpec.bsrbf(),
+            BasisSpec.bsrbf(7, 2),
             BasisSpec.wavelet(),
             BasisSpec.fourier(3),
         ]
         for spec in specs:
             assert BasisSpec.from_dict(spec.to_dict()) == spec
+
+    def test_spec_holds_only_what_flags_set(self):
+        # every stored field has a flag (or none, like taylor's center), and
+        # no spec field is left that no family stores
+        assert set(FAMILY_FIELDS) == set(FAMILIES)
+        keys = {key for fields in FAMILY_FIELDS.values() for *_, key in fields if key}
+        assert keys <= set(cli._FLAGS)
+        stored = {attr for fields in FAMILY_FIELDS.values() for attr, *_ in fields}
+        assert {f.name for f in dataclasses.fields(BasisSpec)} - {"family"} == stored
 
     def test_evaluate_basis_dispatch(self):
         xs = np.linspace(-0.5, 0.5, 5)

@@ -129,6 +129,14 @@ class TestTrainCommand:
         doc = json.loads((out / "model.json").read_bytes().partition(b"\n")[0])
         assert doc["pca"] is not None
 
+    def test_bsrbf_header_holds_its_grid_flags(self, small_csv, tmp_path):
+        out = tmp_path / "run"
+        argv = _train_args(small_csv, str(out), basis="bsrbf", tau="1.0",
+                           **{"grid-size": "6", "degree": "2", "max-epochs": "2"})
+        assert main(argv) == 0
+        doc = json.loads((out / "model.json").read_bytes().partition(b"\n")[0])
+        assert doc["basis"] == {"family": "bsrbf", "grid_size": 6, "degree": 2}
+
     def test_fourier_path(self, small_csv, tmp_path):
         out = tmp_path / "run"
         argv = _train_args(small_csv, str(out), basis="fourier",
@@ -440,6 +448,24 @@ class TestPcaCommand:
                      "--taus", "1.00", "--out", str(out)])
         assert code == 0
         assert _rows(out / "pca_report.csv")[1] == ["1.00,6,0.0000"]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_train_row_fails_before_the_output_directory(self, tmp_path, capsys, n):
+        data = tmp_path / "tiny.csv"
+        save_table(make_synthetic(n, 6, 2), data)
+        out = tmp_path / "x"
+        assert main(["pca", "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "pca fits on the train split, which needs 2 rows, got 1" in err
+        assert "at least 5 rows" in err
+        assert not out.exists()   # so no manifest.json either
+
+    def test_five_rows_report(self, tmp_path):
+        data = tmp_path / "five.csv"
+        save_table(make_synthetic(5, 6, 2), data)
+        out = tmp_path / "run"
+        assert main(["pca", "--data", str(data), "--out", str(out)]) == 0
+        assert len(_rows(out / "pca_report.csv")[1]) == 3
 
 
 class TestSweepOrder:

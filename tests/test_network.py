@@ -555,10 +555,14 @@ class TestMlp:
         assert ok == total
 
 
+_ABSENT = object()  # the value _rewrite takes to mean: delete the field
+
+
 def _rewrite(path, field, value):
     """Set header ``field`` of the version-3 file at ``path`` to ``value``.
 
-    Each array in a dict ``value`` becomes a block appended to the payload.
+    Each array in a dict ``value`` becomes a block appended to the payload;
+    ``_ABSENT`` deletes the field.
     """
     head, _, payload = path.read_bytes().partition(b"\n")
     doc = json.loads(head)
@@ -569,6 +573,8 @@ def _rewrite(path, field, value):
                 value[key] = {"dtype": "<f8", "shape": list(a.shape), "offset": len(payload)}
                 payload += a.astype("<f8").tobytes()
     doc[field] = value
+    if value is _ABSENT:
+        del doc[field]
     path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + payload)
 
 
@@ -656,7 +662,8 @@ _MALFORMED = [
     ("standardizer", {"stds": [1.0]}, r"standardizer\.means is missing"),
     ("pca", {"mean": [0.0]}, r"pca\.mean is not an array block"), ("meta", [1], None),
     ("basis", {"family": "taylor"}, None),
-    ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}}, None),
+    ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}},
+     r"basis holds fields that bsrbf does not store: rbf, spline"),
     ("standardizer", {"means": np.zeros(6), "stds": np.ones(3)},
      r"standardizer has means of shape \(6,\) and stds of shape \(3,\)"),
     ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(2)},
@@ -677,6 +684,36 @@ _MALFORMED = [
              "eigenvalues": np.ones(3), "k": 1, "tau": [0.9]},
      r"pca\.tau must be a finite number"),
     ("layer_dims", [3, 0, 1], r"layer_dims\[1\] must be an integer >= 1, got 0"),
+    ("basis", {"family": "taylor", "order": 2.7, "center": 0.0},
+     r"basis\.order must be an integer, got 2\.7"),
+    ("basis", {"family": "taylor", "order": "2", "center": 0.0},
+     r"basis\.order must be an integer, got '2'"),
+    ("basis", {"family": "taylor", "order": True, "center": 0.0},
+     r"basis\.order must be an integer, got True"),
+    ("basis", {"family": "taylor", "order": 2, "center": float("nan")},
+     r"basis\.center must be a finite number, got nan"),
+    ("basis", {"family": "taylor", "order": 2, "center": "0"},
+     r"basis\.center must be a finite number, got '0'"),
+    ("basis", {"family": "taylor", "order": 2}, r"basis\.center must be a finite number, got None"),
+    ("basis", {"family": "taylor", "order": -1, "center": 0.0},
+     r"basis is invalid: taylor order must be >= 0"),
+    ("basis", {"family": "gaussian_rbf", "centers": [0.0, 1.0], "bandwidth": 0.5},
+     r"basis holds fields that gaussian_rbf does not store: bandwidth, centers"),
+    ("basis", {"family": "chebyshev", "n_max": 2},
+     r"family 'taylor' does not match basis\.family 'chebyshev'"),
+    ("family", _ABSENT, r"family None does not match basis\.family 'taylor'"),
+    ("basis", _ABSENT, r"basis is missing"),
+    ("target_affine", _ABSENT, r"target_affine is missing"),
+    ("target_affine", {"std": 1.0}, r"target_affine\.mean must be a finite number, got None"),
+    ("meta", _ABSENT, r"meta is missing"),
+    ("standardizer", _ABSENT, r"standardizer is missing"),
+    ("pca", _ABSENT, r"pca is missing"),
+    ("standardizer", {"means": np.zeros(3), "stds": np.ones(3)},
+     r"standardizer\.epsilon must be a finite number, got None"),
+    ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(3)},
+     r"feature_scaler\.epsilon must be a finite number, got None"),
+    ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
+             "eigenvalues": np.ones(3), "k": 1}, r"pca\.tau is missing"),
 ]
 
 
