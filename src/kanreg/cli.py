@@ -311,16 +311,14 @@ def _train_and_score(table: FeatureTable, prepared, cfg: dict,
 
     The bundle carries the network, the fitted transforms and the run's
     meta, and is scored on the raw test rows. Returns the search, the
-    bundle, the test report and the wall seconds of network init plus grid.
+    bundle and the test report.
     """
     splits, standardizer, pca_model, scaler, feats = prepared
     work = FeatureTable(name=table.name, features=feats, scores=table.scores)
-    start = time.perf_counter()
     init_rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
     net = init_mlp(dims, init_rng) if spec is None else init_network(dims, spec, init_rng)
     grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
     search = grid_search(net, work, splits, _train_config(cfg), grid)
-    seconds = time.perf_counter() - start
     best = search.best_result
     meta = {
         "dataset": table.name, "basis": cfg["basis"],
@@ -331,7 +329,7 @@ def _train_and_score(table: FeatureTable, prepared, cfg: dict,
     bundle = ModelBundle(net=search.best_net, standardizer=standardizer, pca=pca_model,
                          feature_scaler=scaler, target_mean=best.target_mean,
                          target_std=best.target_std, meta=meta)
-    return search, bundle, evaluate(bundle, table, splits.test), seconds
+    return search, bundle, evaluate(bundle, table, splits.test)
 
 
 def cmd_train(cfg: dict) -> int:
@@ -341,14 +339,14 @@ def cmd_train(cfg: dict) -> int:
     prepared = _prepare_features(table, cfg, use_pca=spec is not None)
     k = prepared[-1].shape[1]
     dims = mlp_dims(k) if spec is None else auto_configure(k, 1)
-    search, bundle, report, search_seconds = _train_and_score(table, prepared, cfg, spec, dims)
+    search, bundle, report = _train_and_score(table, prepared, cfg, spec, dims)
     save_model(model_path, bundle)
     best = search.best_result
 
     _write_csv(grid_path, "lr,plcc,srcc,val_loss,seconds,epochs,status", (
         f"{row.learning_rate:g},{row.plcc:.6f},{row.srcc:.6f},"
-        f"{row.val_loss:.8g},{_csv_seconds(cfg, row.seconds):.3f},"
-        f"{row.epochs},{'ok' if row.error is None else 'diverged'}" for row in search.rows))
+        f"{row.best_val_loss:.8g},{_csv_seconds(cfg, row.wall_seconds):.3f},"
+        f"{row.epochs_run},{'ok' if row.error is None else 'diverged'}" for row in search.rows))
     meta = bundle.meta
     _write_csv(report_path, REPORT_HEADER,
                [_report_row(table.name, meta, report, _csv_seconds(cfg, best.wall_seconds))])
@@ -357,7 +355,7 @@ def cmd_train(cfg: dict) -> int:
           f"layers={meta['layers']} lr={meta['lr']:g}")
     print(f"train: test PLCC={report.plcc:.6f} SRCC={report.srcc:.6f} "
           f"epochs={best.epochs_run} train_seconds={best.wall_seconds:.3f} "
-          f"grid_seconds={search_seconds:.3f}")
+          f"grid_seconds={sum(row.wall_seconds for row in search.rows):.3f}")
     print(f"train: wrote {model_path}, {report_path}, {grid_path}")
     return 0
 
@@ -462,7 +460,7 @@ def _sweep(command: str, table: FeatureTable, trials) -> tuple[list, list[str]]:
     results, failures = [], []
     for label, cfg, prepared, spec, dims in trials:
         try:
-            search, _, report, _ = _train_and_score(table, prepared, cfg, spec, dims)
+            search, _, report = _train_and_score(table, prepared, cfg, spec, dims)
         except (KanregError, MemoryError) as e:
             failures.append(f"{label}: {str(e) or 'out of memory'}")
             results.append((float("nan"),) * 3)
@@ -580,8 +578,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, args.command)
         return _COMMANDS[args.command][0](cfg)
-    except (KanregError, OSError) as e:
-        print(f"kanreg {args.command}: error: {e}", file=sys.stderr)
+    except (KanregError, OSError, MemoryError) as e:
+        print(f"kanreg {args.command}: error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -125,16 +125,20 @@ def _adam_slices(params, grads, state: AdamState):
 
 @dataclass
 class TrainResult:
-    epochs_run: int
-    best_epoch: int
-    best_val_loss: float          # raw-scale MSE at the best epoch
-    train_curve: list[float]      # raw-scale MSE per epoch
-    val_curve: list[float]
-    wall_seconds: float
-    target_mean: float
-    target_std: float
+    """One learning-rate trial; a failed one holds its rate, ``error`` and NaN metrics."""
     learning_rate: float
-    val_predictions: np.ndarray   # raw-scale validation predictions at the best epoch
+    epochs_run: int = 0
+    best_epoch: int = 0
+    best_val_loss: float = math.nan  # raw-scale MSE at the best epoch
+    train_curve: list[float] = field(default_factory=list)  # raw-scale MSE per epoch
+    val_curve: list[float] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    target_mean: float = math.nan
+    target_std: float = math.nan
+    val_predictions: np.ndarray | None = None  # raw-scale, at the best epoch
+    plcc: float = math.nan  # validation correlations, set by grid_search
+    srcc: float = math.nan
+    error: str | None = None
 
 
 def check_splits(splits: SplitIndices) -> None:
@@ -153,7 +157,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
 
     On return the network holds the parameters of the best validation
     epoch. A non-finite loss raises DivergedError naming the epoch and
-    learning rate.
+    learning rate, with the NumericError that stopped training as its cause.
     """
     check_splits(splits)
     x_train = table.features[splits.train]
@@ -187,57 +191,51 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     train_curve: list[float] = []
     val_curve: list[float] = []
     epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = list(range(n_train))
-        rng.shuffle(order)
-        sse = 0.0
-        for lo in range(0, n_train, batch):
-            idx = order[lo:lo + batch]
-            xb = x_train[idx]
-            yb = y_train[idx]
-            try:
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            order = list(range(n_train))
+            rng.shuffle(order)
+            sse = 0.0
+            for lo in range(0, n_train, batch):
+                idx = order[lo:lo + batch]
+                xb = x_train[idx]
+                yb = y_train[idx]
                 out, cache = forward(net, xb, want_cache=True)
-            except NumericError as e:
-                raise DivergedError(f"training diverged at epoch {epoch} (lr={lr:g}): {e}",
-                                    epoch=epoch, learning_rate=lr) from e
-            resid = out - yb
-            batch_sse = float(resid @ resid)
-            if not math.isfinite(batch_sse):
-                raise DivergedError(f"non-finite train loss at epoch {epoch} (lr={lr:g})",
-                                    epoch=epoch, learning_rate=lr)
-            sse += batch_sse
-            grads = backward(net, cache, (2.0 / len(idx)) * resid)
-            if config.l1_penalty > 0.0:
-                for g, p, pen in zip(grads.arrays, params, penalized):
-                    if pen:
-                        g += config.l1_penalty * np.sign(p)
-            adam_step(params, grads.arrays, state, lr)
-            if clamp_scales:
-                for layer in net.layers:
-                    np.maximum(layer.scales, _WAVELET_SCALE_FLOOR, out=layer.scales)
-        try:
+                resid = out - yb
+                batch_sse = float(resid @ resid)
+                if not math.isfinite(batch_sse):
+                    raise NumericError("non-finite train loss")
+                sse += batch_sse
+                grads = backward(net, cache, (2.0 / len(idx)) * resid)
+                if config.l1_penalty > 0.0:
+                    for g, p, pen in zip(grads.arrays, params, penalized):
+                        if pen:
+                            g += config.l1_penalty * np.sign(p)
+                adam_step(params, grads.arrays, state, lr)
+                if clamp_scales:
+                    for layer in net.layers:
+                        np.maximum(layer.scales, _WAVELET_SCALE_FLOOR, out=layer.scales)
             val_out, _ = forward(net, x_val, want_cache=False)
-        except NumericError as e:
-            raise DivergedError(f"training diverged at epoch {epoch} (lr={lr:g}): {e}",
-                                epoch=epoch, learning_rate=lr) from e
-        val_resid = val_out - y_val
-        val_mse = float(val_resid @ val_resid) / val_resid.size
-        if not math.isfinite(val_mse):
-            raise DivergedError(f"non-finite val loss at epoch {epoch} (lr={lr:g})",
-                                epoch=epoch, learning_rate=lr)
-        train_curve.append((sse / n_train) * raw_scale)
-        val_curve.append(val_mse * raw_scale)
-        if val_mse < best_val:
-            best_val = val_mse
-            best_epoch = epoch
-            best_val_out = val_out
-            for s, p in zip(snapshot, params):
-                np.copyto(s, p)
-            streak = 0
-        else:
-            streak += 1
-            if streak >= config.patience:
-                break
+            val_resid = val_out - y_val
+            val_mse = float(val_resid @ val_resid) / val_resid.size
+            if not math.isfinite(val_mse):
+                raise NumericError("non-finite val loss")
+            train_curve.append((sse / n_train) * raw_scale)
+            val_curve.append(val_mse * raw_scale)
+            if val_mse < best_val:
+                best_val = val_mse
+                best_epoch = epoch
+                best_val_out = val_out
+                for s, p in zip(snapshot, params):
+                    np.copyto(s, p)
+                streak = 0
+            else:
+                streak += 1
+                if streak >= config.patience:
+                    break
+    except NumericError as e:
+        raise DivergedError(f"training diverged at epoch {epoch} (lr={lr:g}): {e}",
+                            epoch=epoch, learning_rate=lr) from e
     for p, s in zip(params, snapshot):
         np.copyto(p, s)
     return TrainResult(
@@ -255,26 +253,18 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
 
 
 @dataclass
-class TrialRow:
-    learning_rate: float
-    plcc: float
-    srcc: float
-    val_loss: float
-    seconds: float
-    epochs: int
-    error: str | None = None
-
-
-@dataclass
 class GridSearchResult:
-    rows: list[TrialRow]
+    rows: list[TrainResult]  # one per rate, in grid order
     best_index: int
     best_net: object
-    best_result: TrainResult
+
+    @property
+    def best_result(self) -> TrainResult:
+        return self.rows[self.best_index]
 
     @property
     def best_lr(self) -> float:
-        return self.rows[self.best_index].learning_rate
+        return self.best_result.learning_rate
 
 
 def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
@@ -293,27 +283,21 @@ def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
     if any(not lr > 0.0 for lr in grid):
         raise ParameterError(f"learning rates must be positive, got {grid}")
     y_val = table.scores[splits.val]
-    rows: list[TrialRow] = []
-    best = None  # (score, index, network, result) of the best trial so far
+    rows: list[TrainResult] = []
+    best_score, best_index, best_net = -math.inf, None, None  # of the best trial so far
     for i, lr in enumerate(grid):
         net = copy.deepcopy(net_template)
         try:
             result = train(net, table, splits, replace(config, learning_rate=lr))
-            pred = result.val_predictions
-            row = TrialRow(learning_rate=lr, plcc=plcc(pred, y_val), srcc=srcc(pred, y_val),
-                           val_loss=result.best_val_loss, seconds=result.wall_seconds,
-                           epochs=result.epochs_run)
+            result.plcc = plcc(result.val_predictions, y_val)
+            result.srcc = srcc(result.val_predictions, y_val)
         except (DivergedError, UndefinedCorrelationError) as e:
-            rows.append(TrialRow(learning_rate=lr, plcc=float("nan"), srcc=float("nan"),
-                                 val_loss=float("nan"), seconds=0.0, epochs=0, error=str(e)))
-            continue
-        rows.append(row)
-        score = row.plcc + row.srcc
-        if math.isfinite(score) and (best is None or score > best[0]):
-            best = (score, i, net, result)
-    if best is None:
+            result = TrainResult(learning_rate=lr, error=str(e))
+        rows.append(result)
+        score = result.plcc + result.srcc
+        if score > best_score:  # False for a NaN score
+            best_score, best_index, best_net = score, i, net
+    if best_index is None:
         details = "; ".join(f"lr={row.learning_rate:g}: {row.error}" for row in rows)
         raise DivergedError(f"every learning rate failed: {details}")
-    _, best_index, best_net, best_result = best
-    return GridSearchResult(rows=rows, best_index=best_index,
-                            best_net=best_net, best_result=best_result)
+    return GridSearchResult(rows=rows, best_index=best_index, best_net=best_net)

@@ -1,6 +1,11 @@
 """End-to-end command-line runs on small synthetic tables."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -825,3 +830,37 @@ class TestMalformedInputs:
                 assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert 0 < failed < 100
         capsys.readouterr()
+
+
+def _cap_address_space(limit=2 << 30):
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("flags", [["--order", "100000000"],
+                                       ["--basis", "fourier", "--harmonics", "100000000"],
+                                       ["--basis", "bspline", "--grid-size", "100000000"]])
+    def test_is_an_error_line_not_a_traceback(self, small_csv, tmp_path, flags):
+        # A basis of 10**8 functions asks for hundreds of GiB at init; in a
+        # child whose address space is capped the allocation fails at once.
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kanreg.cli", "train", "--data", small_csv,
+             "--out", str(tmp_path / "out"), "--lr", "1e-3", *flags],
+            env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_cap_address_space,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert "kanreg train: error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bare_memory_error_says_out_of_memory(self, small_csv, tmp_path, monkeypatch,
+                                                  capsys):
+        def init(dims, spec, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "init_network", init)
+        assert main(_train_args(small_csv, str(tmp_path / "run"))) == 1
+        assert capsys.readouterr().err == "kanreg train: error: out of memory\n"

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import kanreg
 from kanreg import cli
 from kanreg.data import make_synthetic, save_table
@@ -77,6 +79,33 @@ def test_tracer_attributes_a_training_run_to_each_layer(tmp_path, capsys):
                  "basis.evaluate", "data.load_table", "network.init",
                  "training.grid_search", "network.save_model", "metrics.evaluate"):
         assert calls[name] >= 1, name
+
+
+def test_tracer_counts_each_trial_of_a_training_run(tmp_path):
+    # The training counters of `--trace 1` read the trial record and
+    # DivergedError.epoch; a renamed field would read 0 there, so match them
+    # to lr_grid.csv.
+    data = tmp_path / "t.bin"
+    save_table(make_synthetic(40, 6, 2, 0.0, "quadratic", 1), data)
+    out = tmp_path / "out"
+    tracer = _load_tracer().Tracer()
+    tracer.install(kanreg)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = tracer.call("cli", cli.main, [
+                "train", "--basis", "taylor", "--order", "2", "--tau", "1.0",
+                "--lr-grid", "1e-4,1e-3,1e200", "--max-epochs", "3",
+                "--data", str(data), "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    rows = [line.split(",") for line in (out / "lr_grid.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "ok", "diverged"]
+    assert tracer.counts["training.trials"] == len(rows)
+    assert tracer.counts["training.trials_failed"] == 1
+    # the diverged row holds 0 epochs; the tracer adds the epoch it diverged in
+    assert tracer.counts["training.epochs"] == sum(int(row[5]) for row in rows) + 1
+    assert tracer.counts["training.best_epochs"] > 0
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

@@ -17,7 +17,8 @@ from kanreg.data import (
     make_synthetic,
     split,
 )
-from kanreg.errors import ContractError, DivergedError, InsufficientDataError, ParameterError
+from kanreg.errors import (ContractError, DivergedError, InsufficientDataError, NumericError,
+                           ParameterError)
 from kanreg.linalg import Rng
 from kanreg.network import auto_configure, forward, init_network, params_of
 from kanreg.training import (
@@ -25,6 +26,7 @@ from kanreg.training import (
     DEFAULT_LR_GRID,
     AdamState,
     TrainConfig,
+    TrainResult,
     adam_step,
     grid_search,
     init_adam,
@@ -252,6 +254,20 @@ class TestTrain:
         assert exc.value.epoch == 1
         assert exc.value.learning_rate == 1e200
 
+    def test_loss_overflow_diverges_with_its_cause(self, latent_1d):
+        # Outputs near 1e160 are finite, but their squared error overflows:
+        # the train loss is the first non-finite value, and it is the cause.
+        table, splits = latent_1d
+        net = init_network([1, 1], BasisSpec.taylor(2), Rng(2))
+        net.layers[0].coeffs[...] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError) as exc:
+                train(net, table, splits, TrainConfig(learning_rate=1e-3, max_epochs=5, seed=7))
+        assert exc.value.epoch == 1
+        assert exc.value.learning_rate == 1e-3
+        assert isinstance(exc.value.__cause__, NumericError)
+        assert str(exc.value) == "training diverged at epoch 1 (lr=0.001): non-finite train loss"
+
     def test_l1_shrinks_coefficients_on_noise(self):
         rng = np.random.default_rng(0)
         noise = FeatureTable("noise", rng.normal(size=(120, 4)), rng.normal(size=120))
@@ -339,6 +355,36 @@ class TestGridSearch:
         assert got.rows[1].error is not None
         assert np.isnan(got.rows[1].plcc)
 
+    def test_rows_are_the_train_results(self, latent_4d):
+        # Each rate has one record, the one train returned: the search adds
+        # the validation correlations to it and copies nothing.
+        table, splits = latent_4d
+        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
+        got = grid_search(net, table, splits,
+                          TrainConfig(max_epochs=10, seed=7), grid=(1e-4, 1e-3))
+        assert all(isinstance(row, TrainResult) for row in got.rows)
+        assert [row.learning_rate for row in got.rows] == [1e-4, 1e-3]
+        assert got.best_result is got.rows[got.best_index]
+        for row in got.rows:
+            assert row.error is None
+            assert np.isfinite(row.plcc) and np.isfinite(row.srcc)
+            assert row.epochs_run == len(row.val_curve) >= row.best_epoch >= 1
+
+    def test_failed_rate_row_holds_no_run(self, latent_4d):
+        table, splits = latent_4d
+        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = grid_search(net, table, splits,
+                              TrainConfig(max_epochs=10, seed=7),
+                              grid=(1e-3, 1e200))
+        failed = got.rows[1]
+        assert failed.learning_rate == 1e200
+        assert failed.error.startswith("training diverged at epoch 1 (lr=1e+200)")
+        assert np.isnan(failed.plcc) and np.isnan(failed.srcc)
+        assert np.isnan(failed.best_val_loss)
+        assert failed.epochs_run == 0
+        assert failed.wall_seconds == 0.0
+
     def test_all_rates_failing_aggregates(self, latent_4d):
         table, splits = latent_4d
         net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
@@ -365,7 +411,7 @@ class TestGridSearch:
         pred = out * got.best_result.target_std + got.best_result.target_mean
         resid = pred - table.scores[splits.val]
         val_mse = float(resid @ resid) / resid.size
-        assert val_mse == pytest.approx(got.rows[got.best_index].val_loss, rel=1e-9)
+        assert val_mse == pytest.approx(got.rows[got.best_index].best_val_loss, rel=1e-9)
 
     def test_keeps_at_most_one_earlier_network(self, latent_4d, monkeypatch):
         # A losing trial's network is dropped before the next trial trains,
