@@ -1,7 +1,7 @@
 """Kolmogorov-Arnold regression networks for feature-based score prediction.
 
 The package trains small KAN regressors whose edge activations are linear
-combinations of a chosen function basis (Taylor monomials by default, with
+combinations of a chosen function basis (Taylor terms x^j / j! by default, with
 Chebyshev, Jacobi, Hermite, Gaussian RBF, B-spline, combined spline+RBF,
 Mexican-hat wavelet, and Fourier alternatives), preceded by z-scoring and
 an optional PCA compression of the input features. Everything numeric is

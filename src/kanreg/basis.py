@@ -4,7 +4,7 @@ Nine families are supported. Eight of them ("coefficient families") map a
 scalar input to a fixed-length feature vector whose entries are weighted by
 learned coefficients:
 
-* ``taylor``        monomials ``(x - center)^j``, j = 0..order
+* ``taylor``        Taylor terms ``x^j / j!``, j = 0..order
 * ``chebyshev``     first-kind Chebyshev polynomials T_0..T_n
 * ``jacobi``        Jacobi polynomials P_n^(alpha, beta)
 * ``hermite``       probabilists' Hermite polynomials He_0..He_n
@@ -59,13 +59,16 @@ CONSTANT_FIRST_FAMILIES = frozenset({"taylor", "chebyshev", "jacobi", "hermite",
 _RBF_GRIDS = {"gaussian_rbf": (np.linspace(-2.0, 2.0, 8), 4.0 / 7.0),
               "bsrbf": (np.linspace(-1.0, 1.0, 8), 2.0 / 7.0)}
 
+# The polynomial families: ``order`` sets their basis size, terms 0..order.
+_POLYNOMIAL_FAMILIES = ("taylor", "chebyshev", "jacobi", "hermite")
+
 # Mexican hat normalization 2 / sqrt(3 sqrt(pi)); peak value at 0.
 MEXICAN_HAT_PEAK = 2.0 / math.sqrt(3.0 * math.sqrt(math.pi))
 
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """One basis family plus the fields its CLI flags set (and taylor's center).
+    """One basis family plus the fields its CLI flags set, named as the flags.
 
     Only the fields :data:`FAMILY_FIELDS` lists for ``family`` are meaningful;
     the factory classmethods build well-formed specs and direct construction
@@ -73,23 +76,19 @@ class BasisSpec:
     """
 
     family: str
-    order: int = 2                 # taylor: highest monomial power
-    center: float = 0.0            # taylor: expansion point
-    n_max: int = 4                 # chebyshev / jacobi / hermite: highest degree
+    order: int = 4                 # taylor / chebyshev / jacobi / hermite: highest term
     alpha: float = 1.0             # jacobi
     beta: float = 1.0              # jacobi
     grid_size: int = 5             # bspline / bsrbf: interior cells on [-1, 1]
     degree: int = 3                # bspline / bsrbf
-    n_harmonics: int = 4           # fourier
+    harmonics: int = 4             # fourier
 
     def __post_init__(self):
         f = self.family
         if f not in FAMILIES:
             raise ParameterError(f"unknown basis family {f!r}; expected one of {', '.join(FAMILIES)}")
-        if f == "taylor" and self.order < 0:
-            raise ParameterError(f"taylor order must be >= 0, got {self.order}")
-        if f in ("chebyshev", "jacobi", "hermite") and self.n_max < 0:
-            raise ParameterError(f"{f} degree must be >= 0, got {self.n_max}")
+        if f in _POLYNOMIAL_FAMILIES and self.order < 0:
+            raise ParameterError(f"{f} order must be >= 0, got {self.order}")
         if f == "jacobi" and not (self.alpha > -1.0 and self.beta > -1.0):  # NaN too
             raise ParameterError(
                 f"jacobi requires alpha > -1 and beta > -1, got alpha={self.alpha}, beta={self.beta}")
@@ -99,24 +98,24 @@ class BasisSpec:
             if self.grid_size < self.degree + 1:
                 raise ParameterError(
                     f"{f} grid_size must be >= degree + 1, got grid_size={self.grid_size} degree={self.degree}")
-        if f == "fourier" and self.n_harmonics < 0:
-            raise ParameterError(f"fourier harmonics must be >= 0, got {self.n_harmonics}")
+        if f == "fourier" and self.harmonics < 0:
+            raise ParameterError(f"fourier harmonics must be >= 0, got {self.harmonics}")
 
     @classmethod
-    def taylor(cls, order: int = 2, center: float = 0.0) -> "BasisSpec":
-        return cls(family="taylor", order=order, center=center)
+    def taylor(cls, order: int = 2) -> "BasisSpec":
+        return cls(family="taylor", order=order)
 
     @classmethod
-    def chebyshev(cls, n_max: int = 4) -> "BasisSpec":
-        return cls(family="chebyshev", n_max=n_max)
+    def chebyshev(cls, order: int = 4) -> "BasisSpec":
+        return cls(family="chebyshev", order=order)
 
     @classmethod
-    def jacobi(cls, n_max: int = 4, alpha: float = 1.0, beta: float = 1.0) -> "BasisSpec":
-        return cls(family="jacobi", n_max=n_max, alpha=alpha, beta=beta)
+    def jacobi(cls, order: int = 4, alpha: float = 1.0, beta: float = 1.0) -> "BasisSpec":
+        return cls(family="jacobi", order=order, alpha=alpha, beta=beta)
 
     @classmethod
-    def hermite(cls, n_max: int = 4) -> "BasisSpec":
-        return cls(family="hermite", n_max=n_max)
+    def hermite(cls, order: int = 4) -> "BasisSpec":
+        return cls(family="hermite", order=order)
 
     @classmethod
     def gaussian_rbf(cls) -> "BasisSpec":
@@ -135,15 +134,15 @@ class BasisSpec:
         return cls(family="wavelet_mexican_hat")
 
     @classmethod
-    def fourier(cls, n_harmonics: int = 4) -> "BasisSpec":
-        return cls(family="fourier", n_harmonics=n_harmonics)
+    def fourier(cls, harmonics: int = 4) -> "BasisSpec":
+        return cls(family="fourier", harmonics=harmonics)
 
     def squashes_input(self) -> bool:
         return self.family in SQUASHED_FAMILIES
 
     def to_dict(self) -> dict:
         return {"family": self.family,
-                **{attr: getattr(self, attr) for attr, _, _ in FAMILY_FIELDS[self.family]}}
+                **{attr: getattr(self, attr) for attr, _ in FAMILY_FIELDS[self.family]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
@@ -152,37 +151,33 @@ class BasisSpec:
         if f not in FAMILIES:
             raise FormatError(f"basis has unknown family {f!r}")
         fields = FAMILY_FIELDS[f]
-        extra = sorted(set(d) - {"family"} - {attr for attr, _, _ in fields})
+        extra = sorted(set(d) - {"family"} - {attr for attr, _ in fields})
         if extra:
             raise FormatError(f"basis holds fields that {f} does not store: {', '.join(extra)}")
         return cls(family=f, **{attr: json_number(d.get(attr), kind, f"basis.{attr}")
-                                for attr, kind, _ in fields})
+                                for attr, kind in fields})
 
 
-# Per family, the spec fields a model file stores, in file order:
-# (attribute, type, CLI key). The CLI key is the _FLAGS key of the flag that
-# sets the field; taylor's center has none, so it always expands at 0 there.
+# Per family, the spec fields a model file stores, in file order, as
+# (attribute, type). Each attribute is also the _FLAGS key of the flag that sets it.
 FAMILY_FIELDS = {
-    "taylor": (("order", int, "order"), ("center", float, None)),
-    "chebyshev": (("n_max", int, "order"),),
-    "jacobi": (("n_max", int, "order"), ("alpha", float, "alpha"),
-               ("beta", float, "beta")),
-    "hermite": (("n_max", int, "order"),),
+    "taylor": (("order", int),),
+    "chebyshev": (("order", int),),
+    "jacobi": (("order", int), ("alpha", float), ("beta", float)),
+    "hermite": (("order", int),),
     "gaussian_rbf": (),
-    "bspline": (("grid_size", int, "grid_size"), ("degree", int, "degree")),
-    "bsrbf": (("grid_size", int, "grid_size"), ("degree", int, "degree")),
+    "bspline": (("grid_size", int), ("degree", int)),
+    "bsrbf": (("grid_size", int), ("degree", int)),
     "wavelet_mexican_hat": (),
-    "fourier": (("n_harmonics", int, "harmonics"),),
+    "fourier": (("harmonics", int),),
 }
 
 
 def basis_size(spec: BasisSpec) -> int:
     """Number of learned coefficients per edge for ``spec``."""
     f = spec.family
-    if f == "taylor":
+    if f in _POLYNOMIAL_FAMILIES:
         return spec.order + 1
-    if f in ("chebyshev", "jacobi", "hermite"):
-        return spec.n_max + 1
     if f == "gaussian_rbf":
         return len(_RBF_GRIDS[f][0])
     if f == "bspline":
@@ -190,35 +185,30 @@ def basis_size(spec: BasisSpec) -> int:
     if f == "bsrbf":
         return spec.grid_size + spec.degree + len(_RBF_GRIDS[f][0])
     if f == "fourier":
-        return 2 * spec.n_harmonics + 1
+        return 2 * spec.harmonics + 1
     return 1  # wavelet_mexican_hat: one amplitude per edge
 
 
 # Kernels: (float64 x [rows, cols], spec) -> (basis-major values [rows, b, cols], derivative).
 
-def _appell_derivative(vals: np.ndarray):
-    """d/dx of a sequence with p_j' = j p_{j-1} (monomials, Hermite)."""
-    def derivative():
-        d = np.zeros_like(vals)
-        for j in range(1, vals.shape[1]):
-            d[:, j] = j * vals[:, j - 1]
-        return d
-    return derivative
-
-
 def _taylor(xf: np.ndarray, spec: BasisSpec):
-    """Monomials ``(x - center)^j`` for j = 0..order."""
-    u = xf - spec.center
+    """Taylor terms ``x^j / j!`` for j = 0..order; d/dx of term j is term j - 1."""
     vals = np.empty((len(xf), spec.order + 1, xf.shape[1]))
     vals[:, 0] = 1.0
     for j in range(1, spec.order + 1):
-        vals[:, j] = vals[:, j - 1] * u
-    return vals, _appell_derivative(vals)
+        np.multiply(vals[:, j - 1], xf, out=vals[:, j])
+        vals[:, j] /= j
+
+    def derivative():
+        d = np.zeros_like(vals)
+        d[:, 1:] = vals[:, :-1]
+        return d
+    return vals, derivative
 
 
 def _chebyshev(xf: np.ndarray, spec: BasisSpec):
     """T_0..T_n of the first kind; dT_n/dx = n U_{n-1} via the second kind."""
-    b = spec.n_max + 1
+    b = spec.order + 1
 
     def table(p1: np.ndarray, size: int) -> np.ndarray:
         """p_0 = 1, p_1 = p1, p_n = 2x p_{n-1} - p_{n-2}, for n < size."""
@@ -236,14 +226,14 @@ def _chebyshev(xf: np.ndarray, spec: BasisSpec):
     return table(xf, b), derivative
 
 
-def _jacobi_table(xf: np.ndarray, n_max: int, alpha: float, beta: float) -> np.ndarray:
-    """P_0..P_n^(alpha, beta) at xf via the three-term recurrence."""
-    p = np.empty((len(xf), n_max + 1, xf.shape[1]))
+def _jacobi_table(xf: np.ndarray, order: int, alpha: float, beta: float) -> np.ndarray:
+    """P_0..P_order^(alpha, beta) at xf via the three-term recurrence."""
+    p = np.empty((len(xf), order + 1, xf.shape[1]))
     p[:, 0] = 1.0
-    if n_max >= 1:
+    if order >= 1:
         p[:, 1] = 0.5 * (alpha - beta) + 0.5 * (alpha + beta + 2.0) * xf
     ab = alpha + beta
-    for n in range(2, n_max + 1):
+    for n in range(2, order + 1):
         c1 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
         c2 = (2.0 * n + ab - 1.0) * (alpha * alpha - beta * beta)
         c3 = (2.0 * n + ab - 1.0) * (2.0 * n + ab) * (2.0 * n + ab - 2.0)
@@ -254,28 +244,32 @@ def _jacobi_table(xf: np.ndarray, n_max: int, alpha: float, beta: float) -> np.n
 
 def _jacobi(xf: np.ndarray, spec: BasisSpec):
     """Jacobi polynomials; dP_n/dx = ((n + a + b + 1)/2) P_{n-1}^(a+1, b+1)."""
-    n_max, alpha, beta = spec.n_max, spec.alpha, spec.beta
-    b = n_max + 1
+    order, alpha, beta = spec.order, spec.alpha, spec.beta
 
     def derivative():
-        d = np.zeros((len(xf), b, xf.shape[1]))
-        if n_max >= 1:
-            shifted = _jacobi_table(xf, n_max - 1, alpha + 1.0, beta + 1.0)
-            for n in range(1, b):
-                d[:, n] = 0.5 * (n + alpha + beta + 1.0) * shifted[:, n - 1]
+        d = np.zeros((len(xf), order + 1, xf.shape[1]))
+        if order >= 1:
+            shifted = _jacobi_table(xf, order - 1, alpha + 1.0, beta + 1.0)
+            d[:, 1:] = (0.5 * (np.arange(1, order + 1) + alpha + beta + 1.0))[:, None] * shifted
         return d
-    return _jacobi_table(xf, n_max, alpha, beta), derivative
+    return _jacobi_table(xf, order, alpha, beta), derivative
 
 
 def _hermite(xf: np.ndarray, spec: BasisSpec):
     """Probabilists' Hermite He_0..He_n; dHe_n/dx = n He_{n-1}."""
-    vals = np.empty((len(xf), spec.n_max + 1, xf.shape[1]))
+    b = spec.order + 1
+    vals = np.empty((len(xf), b, xf.shape[1]))
     vals[:, 0] = 1.0
-    if spec.n_max >= 1:
+    if b > 1:
         vals[:, 1] = xf
-    for n in range(2, spec.n_max + 1):
+    for n in range(2, b):
         vals[:, n] = xf * vals[:, n - 1] - (n - 1) * vals[:, n - 2]
-    return vals, _appell_derivative(vals)
+
+    def derivative():
+        d = np.zeros_like(vals)
+        d[:, 1:] = np.arange(1, b)[:, None] * vals[:, :-1]
+        return d
+    return vals, derivative
 
 
 def _rbf(xf: np.ndarray, spec: BasisSpec):
@@ -334,21 +328,17 @@ def _bsrbf(xf: np.ndarray, spec: BasisSpec):
 
 def _fourier(xf: np.ndarray, spec: BasisSpec):
     """[1, cos(pi x), sin(pi x), ..., cos(N pi x), sin(N pi x)]."""
-    n_harmonics = spec.n_harmonics
-    b = 2 * n_harmonics + 1
-    vals = np.empty((len(xf), b, xf.shape[1]))
+    w = (np.arange(1, spec.harmonics + 1) * np.pi)[:, None]  # n pi, n = 1..N
+    vals = np.empty((len(xf), 2 * spec.harmonics + 1, xf.shape[1]))
     vals[:, 0] = 1.0
-    for n in range(1, n_harmonics + 1):
-        ang = n * np.pi * xf
-        vals[:, 2 * n - 1] = np.cos(ang)
-        vals[:, 2 * n] = np.sin(ang)
+    ang = w * xf[:, None]
+    vals[:, 1::2] = np.cos(ang)
+    vals[:, 2::2] = np.sin(ang)
 
     def derivative():
-        d = np.zeros((len(xf), b, xf.shape[1]))
-        for n in range(1, n_harmonics + 1):
-            w = n * np.pi
-            d[:, 2 * n - 1] = -w * vals[:, 2 * n]
-            d[:, 2 * n] = w * vals[:, 2 * n - 1]
+        d = np.zeros_like(vals)
+        d[:, 1::2] = -w * vals[:, 2::2]
+        d[:, 2::2] = w * vals[:, 1::2]
         return d
     return vals, derivative
 

@@ -208,8 +208,7 @@ def _basis_spec(cfg: dict) -> BasisSpec | None:
     family = cfg["basis"]
     if family == "mlp":
         return None
-    fields = FAMILY_FIELDS[family]
-    return BasisSpec(family=family, **{attr: cfg[key] for attr, _, key in fields if key})
+    return BasisSpec(family=family, **{attr: cfg[attr] for attr, _ in FAMILY_FIELDS[family]})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -345,8 +344,10 @@ def cmd_train(cfg: dict) -> int:
 
     _write_csv(grid_path, "lr,plcc,srcc,val_loss,seconds,epochs,status", (
         f"{row.learning_rate:g},{row.plcc:.6f},{row.srcc:.6f},"
-        f"{row.best_val_loss:.8g},{_csv_seconds(cfg, row.wall_seconds):.3f},"
-        f"{row.epochs_run},{'ok' if row.error is None else 'diverged'}" for row in search.rows))
+        f"{row.best_val_loss:.8g},{_csv_seconds(cfg, row.wall_seconds):.3f},{row.epochs_run},"
+        # a failed trial that ran no epoch diverged; one that trained has undefined correlations
+        f"{'ok' if row.error is None else 'undefined' if row.epochs_run else 'diverged'}"
+        for row in search.rows))
     meta = bundle.meta
     _write_csv(report_path, REPORT_HEADER,
                [_report_row(table.name, meta, report, _csv_seconds(cfg, best.wall_seconds))])
@@ -447,7 +448,7 @@ def cmd_pca(cfg: dict) -> int:
 
 # Families with a field that --order (or --harmonics) sets.
 _ORDER_FAMILIES = {family for family, fields in FAMILY_FIELDS.items()
-                   if any(key in ("order", "harmonics") for *_, key in fields)}
+                   if any(attr in ("order", "harmonics") for attr, _ in fields)}
 
 
 def _sweep(command: str, table: FeatureTable, trials) -> tuple[list, list[str]]:

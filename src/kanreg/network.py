@@ -9,7 +9,7 @@ basis family (or a scaled/shifted Mexican hat for the wavelet family).
 Bounded-domain families receive tanh-squashed layer inputs; the backward
 pass carries the matching chain factor. The module also provides the
 input-size driven architecture rule, a fixed-architecture MLP baseline, and
-model files (version 3): a JSON header line followed by raw float64 blocks.
+model files (version 4): a JSON header line followed by raw float64 arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .data import Standardizer, _atomic_write, apply_standardizer, utf8_error
 from .pca import PcaModel, transform as pca_transform
 
 MODEL_FORMAT = "kanreg-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 @dataclass
@@ -372,20 +372,22 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model files. Version 3 is one JSON header line, then the raw little-endian
-# C-order float64 bytes of every array back to back. In the header each array
-# is a block {"dtype": "<f8", "shape": [...], "offset": byte offset after the
-# header line}, coefficients in their memory order [out, b, in]; scalars stay
-# JSON numbers (Python's float repr round-trips exactly), so values round-trip
-# bit for bit and reruns are byte-identical. No other version loads.
+# Model files. Version 4 is one JSON header line, then the raw little-endian
+# C-order float64 bytes of every array back to back, in the order the format
+# fixes: per-layer coefficients, then wavelet scales and shifts (or MLP
+# weights, then biases); standardizer means and stds; feature-scaler means and
+# stds; PCA mean, components and eigenvalues. In the header each array is just
+# its shape list, coefficients in their memory order [out, b, in]; scalars
+# stay JSON numbers (Python's float repr round-trips exactly), so values
+# round-trip bit for bit and reruns are byte-identical. No other version loads.
 
-def _block(arr, name: str, payload: list) -> dict:
+def _shape(arr, name: str, payload: list) -> list:
+    """Append ``arr`` to ``payload``; returns its shape for the header."""
     a = np.ascontiguousarray(arr, dtype="<f8")
     if not np.all(np.isfinite(a)):
         raise NumericError(f"cannot serialize non-finite values in {name}")
-    block = {"dtype": "<f8", "shape": list(a.shape), "offset": sum(p.nbytes for p in payload)}
     payload.append(a)
-    return block
+    return list(a.shape)
 
 
 def save_model(path, model: ModelBundle) -> None:
@@ -395,15 +397,14 @@ def save_model(path, model: ModelBundle) -> None:
     payload: list[np.ndarray] = []
 
     def put_blocks(key, arrays):
-        doc[key] = [_block(a, f"{key}[{l}]", payload) for l, a in enumerate(arrays)]
+        doc[key] = [_shape(a, f"{key}[{l}]", payload) for l, a in enumerate(arrays)]
 
     if isinstance(net, MlpNetwork):
-        doc["family"] = "mlp"
+        doc["basis"] = None
         doc["layer_dims"] = net.dims
         put_blocks("mlp_weights", net.weights)
         put_blocks("mlp_biases", net.biases)
     elif isinstance(net, KanNetwork):
-        doc["family"] = net.spec.family
         doc["basis"] = net.spec.to_dict()
         doc["layer_dims"] = net.dims
         put_blocks("coeffs", [layer.coeffs for layer in net.layers])
@@ -417,18 +418,17 @@ def save_model(path, model: ModelBundle) -> None:
     def _std_block(std, name):
         if std is None:
             return None
-        return {"means": _block(std.means, f"{name}.means", payload),
-                "stds": _block(std.stds, f"{name}.stds", payload),
+        return {"means": _shape(std.means, f"{name}.means", payload),
+                "stds": _shape(std.stds, f"{name}.stds", payload),
                 "epsilon": float(std.epsilon)}
 
     doc["standardizer"] = _std_block(model.standardizer, "standardizer")
     doc["feature_scaler"] = _std_block(model.feature_scaler, "feature_scaler")
     if model.pca is not None:
         doc["pca"] = {
-            "mean": _block(model.pca.mean, "pca.mean", payload),
-            "components": _block(model.pca.components, "pca.components", payload),
-            "eigenvalues": _block(model.pca.eigenvalues, "pca.eigenvalues", payload),
-            "k": int(model.pca.k),
+            "mean": _shape(model.pca.mean, "pca.mean", payload),
+            "components": _shape(model.pca.components, "pca.components", payload),
+            "eigenvalues": _shape(model.pca.eigenvalues, "pca.eigenvalues", payload),
             "tau": float(model.pca.tau) if model.pca.tau is not None else None,
         }
     else:
@@ -449,48 +449,35 @@ def _require(cond: bool, message: str) -> None:
 
 
 class _Payload:
-    """The bytes after a version-3 header, and the byte ranges its blocks claim."""
+    """The bytes after a version-4 header, read front to back by a cursor."""
 
     def __init__(self, fh):
         self.data = bytearray(max(0, os.fstat(fh.fileno()).st_size - fh.tell()))
         del self.data[fh.readinto(self.data):]  # a file that shrank meanwhile
-        self.spans: list[tuple[int, int, str]] = []
+        self.pos = 0
 
-    def take(self, offset, nbytes: int, block: str) -> np.ndarray:
-        """The float64 values of ``block``: ``nbytes`` bytes at ``offset``, no copy."""
-        _require(type(offset) is int and offset % 8 == 0,
-                 f"{block} has offset {offset!r}, expected a multiple of 8")
-        _require(0 <= offset <= len(self.data) - nbytes,
-                 f"{block} needs payload bytes {offset} to {offset + nbytes}, "
+    def take(self, nbytes: int, block: str) -> np.ndarray:
+        """The float64 values of ``block``: the next ``nbytes`` bytes, no copy."""
+        end = self.pos + nbytes
+        _require(end <= len(self.data),
+                 f"{block} needs payload bytes {self.pos} to {end}, "
                  f"the payload holds {len(self.data)}")
-        self.spans.append((offset, offset + nbytes, block))
-        return np.frombuffer(self.data, dtype="<f8", count=nbytes // 8, offset=offset)
-
-    def check_tiled(self) -> None:
-        """The blocks cover the payload exactly: no gap, overlap or trailing byte."""
-        end = 0
-        for lo, hi, block in sorted(self.spans):
-            _require(lo == end, f"{block} starts at payload byte {lo}, expected {end}")
-            end = hi
-        _require(end == len(self.data),
-                 f"the payload holds {len(self.data) - end} bytes after its last block")
+        arr = np.frombuffer(self.data, dtype="<f8", count=nbytes // 8, offset=self.pos)
+        self.pos = end
+        return arr
 
 
-def _finite(value, block: str, payload: _Payload) -> np.ndarray:
-    """A float64 array from its ``{dtype, shape, offset}`` block in ``payload``.
+def _finite(shape, block: str, payload: _Payload) -> np.ndarray:
+    """The next array of ``payload``, ``block``, of the header's ``shape`` list.
 
-    A missing or malformed block, a byte range outside the payload, or
-    non-finite values raise a FormatError naming ``block``.
+    A missing or malformed shape, a payload too short for it, or non-finite
+    values raise a FormatError naming ``block``.
     """
-    _require(value is not None, f"{block} is missing")
-    _require(isinstance(value, dict), f"{block} is not an array block")
-    _require(value.get("dtype") == "<f8",
-             f"{block} has dtype {value.get('dtype')!r}, expected '<f8'")
-    shape = value.get("shape")
+    _require(shape is not None, f"{block} is missing")
     _require(isinstance(shape, list)
              and all(type(d) is int and d >= 0 for d in shape),
              f"{block} has an invalid shape {shape!r}")
-    arr = payload.take(value.get("offset"), 8 * math.prod(shape), block)
+    arr = payload.take(8 * math.prod(shape), block)
     arr = arr.astype(np.float64, copy=False).reshape(shape)
     _require(bool(np.all(np.isfinite(arr))), f"{block} holds non-finite values")
     return arr
@@ -508,19 +495,19 @@ def _object(doc: dict, key: str, nullable: bool = False) -> dict | None:
 def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
                   payload: _Payload) -> list[np.ndarray]:
     """The per-layer arrays under ``key``: one per layer, each of its shape."""
-    blocks = doc.get(key)
-    _require(isinstance(blocks, list) and len(blocks) == len(shapes),
-             f"{key} does not hold one block per layer of layer_dims")
+    stored = doc.get(key)
+    _require(isinstance(stored, list) and len(stored) == len(shapes),
+             f"{key} does not hold one shape per layer of layer_dims")
     arrays = []
-    for l, (block, shape) in enumerate(zip(blocks, shapes)):
-        arrays.append(_finite(block, f"{key}[{l}]", payload))
+    for l, (header_shape, shape) in enumerate(zip(stored, shapes)):
+        arrays.append(_finite(header_shape, f"{key}[{l}]", payload))
         _require(arrays[-1].shape == shape,
                  f"{key}[{l}] has shape {arrays[-1].shape}, expected {shape}")
     return arrays
 
 
 def load_model(path) -> ModelBundle:
-    """Load a version-3 model file, validating every field."""
+    """Load a version-4 model file, validating every field."""
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.readline().decode("utf-8"))
@@ -545,18 +532,16 @@ def load_model(path) -> ModelBundle:
         _require(type(d) is int and d >= 1,
                  f"layer_dims[{l}] must be an integer >= 1, got {d!r}")
     edges = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]  # [out, in] per layer
-    family = doc.get("family")
-    if family == "mlp":
+    basis = _object(doc, "basis", nullable=True)
+    if basis is None:  # the MLP baseline
         net: object = MlpNetwork(
             weights=_layer_blocks(doc, "mlp_weights", edges, payload),
             biases=_layer_blocks(doc, "mlp_biases", [(dout,) for dout, _ in edges], payload))
     else:
         try:
-            spec = BasisSpec.from_dict(_object(doc, "basis"))
+            spec = BasisSpec.from_dict(basis)
         except ParameterError as e:
             raise FormatError(f"basis is invalid: {e}") from None
-        _require(spec.family == family,
-                 f"family {family!r} does not match basis.family {spec.family!r}")
         b = basis_size(spec)
         coeffs = _layer_blocks(doc, "coeffs", [(dout, b, din) for dout, din in edges], payload)
         scales = shifts = [None] * len(edges)
@@ -583,18 +568,20 @@ def load_model(path) -> ModelBundle:
     pca = None
     p = _object(doc, "pca", nullable=True)
     if p is not None:
-        pca = PcaModel(mean=_finite(p.get("mean"), "pca.mean", payload),
-                       components=_finite(p.get("components"), "pca.components", payload),
-                       eigenvalues=_finite(p.get("eigenvalues"), "pca.eigenvalues", payload),
-                       k=json_number(p.get("k"), int, "pca.k"),
-                       tau=None if p.get("tau") is None else json_number(p["tau"], float, "pca.tau"))
-        d = pca.mean.shape
-        _require(len(d) == 1 and pca.eigenvalues.shape == d
-                 and pca.components.shape == (pca.k,) + d,
-                 f"pca has mean {d}, eigenvalues {pca.eigenvalues.shape} and components "
-                 f"{pca.components.shape} with k={pca.k}; expected [d], [d] and [k, d]")
+        mean = _finite(p.get("mean"), "pca.mean", payload)
+        components = _finite(p.get("components"), "pca.components", payload)
+        eigenvalues = _finite(p.get("eigenvalues"), "pca.eigenvalues", payload)
+        d = mean.shape
+        _require(len(d) == 1 and eigenvalues.shape == d
+                 and components.ndim == 2 and components.shape[1:] == d,
+                 f"pca has mean {d}, eigenvalues {eigenvalues.shape} and components "
+                 f"{components.shape}; expected [d], [d] and [k, d]")
         _require("tau" in p, "pca.tau is missing")
-    payload.check_tiled()
+        pca = PcaModel(mean=mean, components=components, eigenvalues=eigenvalues,
+                       k=components.shape[0],
+                       tau=None if p["tau"] is None else json_number(p["tau"], float, "pca.tau"))
+    _require(payload.pos == len(payload.data),
+             f"the payload holds {len(payload.data) - payload.pos} bytes after its last block")
     affine = _object(doc, "target_affine")
     return ModelBundle(net=net, standardizer=std, pca=pca, feature_scaler=scaler,
                        target_mean=json_number(affine.get("mean"), float, "target_affine.mean"),

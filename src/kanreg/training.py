@@ -125,7 +125,8 @@ def _adam_slices(params, grads, state: AdamState):
 
 @dataclass
 class TrainResult:
-    """One learning-rate trial; a failed one holds its rate, ``error`` and NaN metrics."""
+    """One learning-rate trial; a failed one sets ``error`` and NaN metrics (and holds
+    only its rate if it diverged, or its whole run if its correlations were undefined)."""
     learning_rate: float
     epochs_run: int = 0
     best_epoch: int = 0
@@ -273,9 +274,9 @@ def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
 
     Selection maximizes validation PLCC + SRCC; ties keep the earliest grid
     entry. Only the best network so far is kept: a trial's network is
-    dropped as soon as it loses. Diverged trials keep their row with NaN
-    metrics; if every rate diverges a DivergedError summarizing the
-    failures is raised.
+    dropped as soon as it loses. A failed trial, diverged or with undefined
+    validation correlations, keeps its row with NaN metrics; if every rate
+    fails a DivergedError summarizing the failures is raised.
     """
     grid = tuple(DEFAULT_LR_GRID if grid is None else grid)
     if not grid:
@@ -289,10 +290,12 @@ def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
         net = copy.deepcopy(net_template)
         try:
             result = train(net, table, splits, replace(config, learning_rate=lr))
-            result.plcc = plcc(result.val_predictions, y_val)
-            result.srcc = srcc(result.val_predictions, y_val)
-        except (DivergedError, UndefinedCorrelationError) as e:
+            result.plcc, result.srcc = (plcc(result.val_predictions, y_val),
+                                        srcc(result.val_predictions, y_val))
+        except DivergedError as e:
             result = TrainResult(learning_rate=lr, error=str(e))
+        except UndefinedCorrelationError as e:  # trained: keep its record, NaN metrics
+            result.error = str(e)
         rows.append(result)
         score = result.plcc + result.srcc
         if score > best_score:  # False for a NaN score

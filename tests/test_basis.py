@@ -56,33 +56,39 @@ def _check_input_derivative(fn, xs):
 
 class TestTaylor:
     def test_expansion_point(self):
-        vals, _ = _eval(BasisSpec.taylor(2, 0.0), 0.0)
+        vals, _ = _eval(BasisSpec.taylor(2), 0.0)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
 
     def test_monomial_oracle(self):
-        vals, d = _eval(BasisSpec.taylor(2, 0.0), 1.0)
-        np.testing.assert_array_equal(vals, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(d, [0.0, 1.0, 2.0])
-
-    def test_shift_symmetry(self):
-        vals, _ = _eval(BasisSpec.taylor(4, 0.5), 0.5)
-        np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0, 0.0, 0.0])
+        # term j is x^j / j!, so at x = 1 the terms are 1/j! and d/dx of
+        # term j is term j - 1
+        vals, d = _eval(BasisSpec.taylor(3), 1.0)
+        np.testing.assert_array_equal(vals, [1.0, 1.0, 0.5, 1.0 / 6.0])
+        np.testing.assert_array_equal(d, [0.0, 1.0, 1.0, 0.5])
 
     def test_matches_power_oracle(self):
         xs = np.linspace(-2.0, 2.0, 9)
-        vals, d = _eval(BasisSpec.taylor(5, 0.25), xs)
-        u = xs - 0.25
+        vals, d = _eval(BasisSpec.taylor(5), xs)
         for j in range(6):
-            np.testing.assert_allclose(vals[:, j], u**j, atol=1e-12)
-            expect_d = j * u ** (j - 1) if j > 0 else np.zeros_like(u)
+            np.testing.assert_allclose(vals[:, j], xs**j / math.factorial(j), atol=1e-12)
+            expect_d = xs ** (j - 1) / math.factorial(j - 1) if j > 0 else np.zeros_like(xs)
             np.testing.assert_allclose(d[:, j], expect_d, atol=1e-12)
+
+    def test_orders_0_and_1_are_the_plain_monomials(self):
+        xs = np.random.default_rng(3).normal(size=(7, 5))
+        for order in (0, 1):
+            vals, d = _eval(BasisSpec.taylor(order), xs)
+            want = np.stack([np.ones_like(xs), xs], -1)[..., :order + 1]
+            want_d = np.stack([np.zeros_like(xs), np.ones_like(xs)], -1)[..., :order + 1]
+            np.testing.assert_array_equal(vals, want)
+            np.testing.assert_array_equal(d, want_d)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ParameterError):
             _eval(BasisSpec.taylor(-1), 0.0)
 
     def test_input_derivative(self):
-        _check_input_derivative(lambda x: _eval(BasisSpec.taylor(4, 0.1), x),
+        _check_input_derivative(lambda x: _eval(BasisSpec.taylor(4), x),
                                 np.linspace(-1.5, 1.5, 100))
 
 
@@ -450,9 +456,10 @@ class TestBasisSpec:
         with pytest.raises(ParameterError, match="bsrbf grid_size must be >= degree"):
             BasisSpec.bsrbf(grid_size=2, degree=3)
         with pytest.raises(ParameterError):
-            BasisSpec.fourier(n_harmonics=-2)
-        with pytest.raises(ParameterError, match="chebyshev degree must be >= 0"):
-            BasisSpec.chebyshev(n_max=-1)
+            BasisSpec.fourier(harmonics=-2)
+        for family in ("taylor", "chebyshev", "jacobi", "hermite"):
+            with pytest.raises(ParameterError, match=f"{family} order must be >= 0, got -1"):
+                getattr(BasisSpec, family)(-1)
         with pytest.raises(ParameterError, match="bspline degree must be >= 0"):
             BasisSpec.bspline(degree=-1)
         with pytest.raises(ParameterError, match="bsrbf degree must be >= 0"):
@@ -460,7 +467,7 @@ class TestBasisSpec:
 
     def test_serialization_round_trip(self):
         specs = [
-            BasisSpec.taylor(3, center=0.5),
+            BasisSpec.taylor(3),
             BasisSpec.chebyshev(6),
             BasisSpec.jacobi(4, alpha=0.2, beta=1.4),
             BasisSpec.hermite(5),
@@ -475,13 +482,41 @@ class TestBasisSpec:
             assert BasisSpec.from_dict(spec.to_dict()) == spec
 
     def test_spec_holds_only_what_flags_set(self):
-        # every stored field has a flag (or none, like taylor's center), and
-        # no spec field is left that no family stores
+        # every stored field is named after the flag that sets it, and no
+        # spec field is left that no family stores
         assert set(FAMILY_FIELDS) == set(FAMILIES)
-        keys = {key for fields in FAMILY_FIELDS.values() for *_, key in fields if key}
-        assert keys <= set(cli._FLAGS)
-        stored = {attr for fields in FAMILY_FIELDS.values() for attr, *_ in fields}
+        stored = {attr for fields in FAMILY_FIELDS.values() for attr, _ in fields}
+        assert stored <= set(cli._FLAGS)
         assert {f.name for f in dataclasses.fields(BasisSpec)} - {"family"} == stored
+        assert len(dataclasses.fields(BasisSpec)) == 7
+
+    def test_factories_keep_their_defaults(self):
+        assert BasisSpec.taylor().order == 2
+        assert BasisSpec.chebyshev().order == BasisSpec.jacobi().order == 4
+        assert BasisSpec.hermite().order == BasisSpec(family="hermite").order == 4
+        assert BasisSpec.fourier().harmonics == 4
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_derivative_tables_match_per_term_loops(self, order):
+        # the broadcast derivative tables equal the per-term loops bit for bit
+        x = np.random.default_rng(order).uniform(-0.99, 0.99, size=(6, 5))
+        vals, d = _eval(BasisSpec.hermite(order), x)
+        for j in range(1, order + 1):
+            np.testing.assert_array_equal(d[..., j], j * vals[..., j - 1])
+        alpha, beta = 0.3, 1.7
+        _, d = _eval(BasisSpec.jacobi(order, alpha=alpha, beta=beta), x)
+        if order:
+            shifted, _ = _eval(BasisSpec.jacobi(order - 1, alpha=alpha + 1.0, beta=beta + 1.0), x)
+        for n in range(1, order + 1):
+            np.testing.assert_array_equal(
+                d[..., n], 0.5 * (n + alpha + beta + 1.0) * shifted[..., n - 1])
+        vals, d = _eval(BasisSpec.fourier(order), x)
+        for n in range(1, order + 1):
+            w = n * np.pi
+            np.testing.assert_array_equal(vals[..., 2 * n - 1], np.cos(n * np.pi * x))
+            np.testing.assert_array_equal(vals[..., 2 * n], np.sin(n * np.pi * x))
+            np.testing.assert_array_equal(d[..., 2 * n - 1], -w * vals[..., 2 * n])
+            np.testing.assert_array_equal(d[..., 2 * n], w * vals[..., 2 * n - 1])
 
     def test_evaluate_basis_dispatch(self):
         xs = np.linspace(-0.5, 0.5, 5)

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +120,18 @@ class TestInit:
             np.testing.assert_array_equal(layer.scales, np.ones_like(layer.scales))
             np.testing.assert_array_equal(layer.shifts, np.zeros_like(layer.shifts))
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_taylor_output_stays_bounded_at_init(self, order):
+        # on the z-scored PCA coordinates a run feeds the network, terms
+        # x^j / j! keep every order near unit scale (x^j alone reach 1e4 at order 3)
+        table = make_synthetic(300, 256, 8, 0.0, "quadratic", 11)
+        z = apply_standardizer(fit_standardizer(table.features), table.features)
+        coords = pca_transform(pca_fit(z, 0.95), z)
+        x = apply_standardizer(fit_standardizer(coords), coords)
+        net = init_network([64, 64, 16, 1], BasisSpec.taylor(order), Rng(order))
+        out, _ = forward(net, x, want_cache=False)
+        assert np.std(out) < 5.0
+
     def test_too_few_dims_rejected(self):
         with pytest.raises(ParameterError):
             init_network([4], BasisSpec.taylor(2), Rng(0))
@@ -166,7 +180,7 @@ class TestForward:
         net.layers[0].coeffs[0, :, 0] = [0.5, -1.0, 2.0]
         xs = np.array([[0.0], [1.0], [-0.5]])
         out, _ = forward(net, xs)
-        expect = 0.5 - 1.0 * xs[:, 0] + 2.0 * xs[:, 0] ** 2
+        expect = 0.5 - 1.0 * xs[:, 0] + 2.0 * xs[:, 0] ** 2 / 2.0  # terms x^j / j!
         np.testing.assert_allclose(out, expect, atol=1e-15)
 
     def test_two_edge_sum(self):
@@ -400,11 +414,10 @@ class TestCoefficientLayout:
         path = tmp_path / "model.json"
         save_model(path, ModelBundle(net=net))
         head, _, payload = path.read_bytes().partition(b"\n")
-        blocks = json.loads(head)["coeffs"]
-        assert [b["shape"] for b in blocks] == [[3, 4, 5], [1, 4, 3]]
-        assert [b["offset"] for b in blocks] == [0, 8 * 60]
-        data = np.frombuffer(payload, dtype="<f8", count=60).reshape(3, 4, 5)
-        np.testing.assert_array_equal(data, net.layers[0].coeffs)
+        assert json.loads(head)["coeffs"] == [[3, 4, 5], [1, 4, 3]]
+        data = np.frombuffer(payload, dtype="<f8")
+        np.testing.assert_array_equal(data[:60].reshape(3, 4, 5), net.layers[0].coeffs)
+        np.testing.assert_array_equal(data[60:].reshape(1, 4, 3), net.layers[1].coeffs)
 
 
 def _inference_peak_bytes(net, x) -> int:
@@ -559,10 +572,11 @@ _ABSENT = object()  # the value _rewrite takes to mean: delete the field
 
 
 def _rewrite(path, field, value):
-    """Set header ``field`` of the version-3 file at ``path`` to ``value``.
+    """Set header ``field`` of the version-4 file at ``path`` to ``value``.
 
-    Each array in a dict ``value`` becomes a block appended to the payload;
-    ``_ABSENT`` deletes the field.
+    Each array in a dict ``value`` becomes a shape whose values are appended
+    to the payload (so the file must hold no array that the format puts after
+    them); ``_ABSENT`` deletes the field.
     """
     head, _, payload = path.read_bytes().partition(b"\n")
     doc = json.loads(head)
@@ -570,7 +584,7 @@ def _rewrite(path, field, value):
         value = dict(value)
         for key, a in value.items():
             if isinstance(a, np.ndarray):
-                value[key] = {"dtype": "<f8", "shape": list(a.shape), "offset": len(payload)}
+                value[key] = list(a.shape)
                 payload += a.astype("<f8").tobytes()
     doc[field] = value
     if value is _ABSENT:
@@ -603,48 +617,36 @@ def _arrays_of(bundle):
     return arrays + ([] if pca is None else [pca.mean, pca.components, pca.eigenvalues])
 
 
-# the version fields _damage writes in place of 3
-_BAD_VERSIONS = {"version_1": 1, "version_2": 2, "version_4": 4, "version_string": "3"}
+# the version fields _damage writes in place of 4
+_BAD_VERSIONS = {"version_2": 2, "version_3": 3, "version_5": 5, "version_string": "4"}
 
 # each defect _damage makes, with the error load_model names it by
 _DAMAGE = {
     "truncated": (FormatError, r"standardizer\.stds needs payload bytes"),
     "trailing": (FormatError, r"the payload holds 8 bytes after its last block"),
-    "offset_out_of_range": (FormatError, r"coeffs\[0\] needs payload bytes"),
-    "offset_misaligned": (FormatError, r"coeffs\[1\] has offset \d+, expected a multiple"),
-    "offset_not_int": (FormatError, r"coeffs\[1\] has offset \d+\.0, expected"),
-    "overlap": (FormatError, r"starts at payload byte 0, expected"),
-    "dtype": (FormatError, r"coeffs\[0\] has dtype '<f4', expected '<f8'"),
+    "shape_too_large": (FormatError, r"coeffs\[1\] needs payload bytes 144 to 8000144,"),
     "nan": (FormatError, r"standardizer\.means holds non-finite values"),
     "non_utf8": (ParseError, r"is not UTF-8 text: line 1, byte offset 2"),
     "digit_limit": (ParseError, r"malformed model file: Exceeds the limit"),
-    **{case: (UnsupportedVersionError, r"model file version .* is not supported \(expected 3\)")
+    **{case: (UnsupportedVersionError, r"model file version .* is not supported \(expected 4\)")
        for case in _BAD_VERSIONS},
 }
 
 
 def _damage(path, case):
-    """Rewrite the version-3 file at ``path`` with one defect."""
+    """Rewrite the version-4 file at ``path`` with one defect."""
     head, _, payload = path.read_bytes().partition(b"\n")
     doc = json.loads(head)
     if case == "truncated":
         payload = payload[:-8]
     elif case == "trailing":
         payload += bytes(8)
-    elif case == "offset_out_of_range":
-        doc["coeffs"][0]["offset"] = len(payload)
-    elif case == "offset_misaligned":
-        doc["coeffs"][1]["offset"] += 4
-    elif case == "offset_not_int":
-        doc["coeffs"][1]["offset"] = float(doc["coeffs"][1]["offset"])
-    elif case == "overlap":
-        doc["coeffs"][1]["offset"] = 0
-    elif case == "dtype":
-        doc["coeffs"][0]["dtype"] = "<f4"
+    elif case == "shape_too_large":
+        doc["coeffs"][1] = [1, 1, 10**6]
     elif case in _BAD_VERSIONS:
         doc["version"] = _BAD_VERSIONS[case]
     elif case == "nan":
-        at = doc["standardizer"]["means"]["offset"] + 8
+        at = 8 * sum(math.prod(shape) for shape in doc["coeffs"]) + 8  # standardizer.means[1]
         payload = payload[:at] + np.array([np.nan], dtype="<f8").tobytes() + payload[at + 8:]
     head = json.dumps(doc, separators=(",", ":")).encode("ascii")
     if case == "non_utf8":
@@ -660,7 +662,7 @@ def _damage(path, case):
 _MALFORMED = [
     ("layer_dims", ["x", 1], None), ("layer_dims", [3.0, 1], None),
     ("standardizer", {"stds": [1.0]}, r"standardizer\.means is missing"),
-    ("pca", {"mean": [0.0]}, r"pca\.mean is not an array block"), ("meta", [1], None),
+    ("pca", {"mean": [0.0]}, r"pca\.mean has an invalid shape \[0\.0\]"), ("meta", [1], None),
     ("basis", {"family": "taylor"}, None),
     ("basis", {"family": "bsrbf", "spline": 5, "rbf": {}},
      r"basis holds fields that bsrbf does not store: rbf, spline"),
@@ -669,11 +671,11 @@ _MALFORMED = [
     ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(2)},
      r"feature_scaler has means of shape \(3,\) and stds of shape \(2,\)"),
     ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0]]),
-             "eigenvalues": np.ones(3), "k": 1},
-     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(1, 2\) with k=1"),
-    ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
-             "eigenvalues": np.ones(3), "k": 2},
-     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(1, 3\) with k=2"),
+             "eigenvalues": np.ones(3), "tau": None},
+     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(1, 2\); expected"),
+    ("pca", {"mean": np.zeros(3), "components": np.zeros(3),
+             "eigenvalues": np.ones(3), "tau": None},
+     r"pca has mean \(3,\), eigenvalues \(3,\) and components \(3,\); expected"),
     ("target_affine", {"mean": [1.0]}, None), ("target_affine", {"std": [2.0]}, None),
     ("target_affine", {"std": 10**400}, None),
     ("standardizer", {"means": np.zeros(3), "stds": np.ones(3), "epsilon": [1e-8]},
@@ -681,27 +683,22 @@ _MALFORMED = [
     ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(3), "epsilon": [1e-8]},
      r"feature_scaler\.epsilon must be a finite number"),
     ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
-             "eigenvalues": np.ones(3), "k": 1, "tau": [0.9]},
+             "eigenvalues": np.ones(3), "tau": [0.9]},
      r"pca\.tau must be a finite number"),
     ("layer_dims", [3, 0, 1], r"layer_dims\[1\] must be an integer >= 1, got 0"),
-    ("basis", {"family": "taylor", "order": 2.7, "center": 0.0},
-     r"basis\.order must be an integer, got 2\.7"),
-    ("basis", {"family": "taylor", "order": "2", "center": 0.0},
-     r"basis\.order must be an integer, got '2'"),
-    ("basis", {"family": "taylor", "order": True, "center": 0.0},
-     r"basis\.order must be an integer, got True"),
-    ("basis", {"family": "taylor", "order": 2, "center": float("nan")},
-     r"basis\.center must be a finite number, got nan"),
-    ("basis", {"family": "taylor", "order": 2, "center": "0"},
-     r"basis\.center must be a finite number, got '0'"),
-    ("basis", {"family": "taylor", "order": 2}, r"basis\.center must be a finite number, got None"),
-    ("basis", {"family": "taylor", "order": -1, "center": 0.0},
-     r"basis is invalid: taylor order must be >= 0"),
+    ("basis", {"family": "taylor", "order": 2.7}, r"basis\.order must be an integer, got 2\.7"),
+    ("basis", {"family": "taylor", "order": "2"}, r"basis\.order must be an integer, got '2'"),
+    ("basis", {"family": "taylor", "order": True}, r"basis\.order must be an integer, got True"),
+    ("basis", {"family": "taylor", "order": -1}, r"basis is invalid: taylor order must be >= 0"),
     ("basis", {"family": "gaussian_rbf", "centers": [0.0, 1.0], "bandwidth": 0.5},
      r"basis holds fields that gaussian_rbf does not store: bandwidth, centers"),
+    # the field names of version 3
+    ("basis", {"family": "taylor", "order": 2, "center": 0.0},
+     r"basis holds fields that taylor does not store: center"),
     ("basis", {"family": "chebyshev", "n_max": 2},
-     r"family 'taylor' does not match basis\.family 'chebyshev'"),
-    ("family", _ABSENT, r"family None does not match basis\.family 'taylor'"),
+     r"basis holds fields that chebyshev does not store: n_max"),
+    ("basis", {"family": "fourier", "n_harmonics": 2},
+     r"basis holds fields that fourier does not store: n_harmonics"),
     ("basis", _ABSENT, r"basis is missing"),
     ("target_affine", _ABSENT, r"target_affine is missing"),
     ("target_affine", {"std": 1.0}, r"target_affine\.mean must be a finite number, got None"),
@@ -713,7 +710,7 @@ _MALFORMED = [
     ("feature_scaler", {"means": np.zeros(3), "stds": np.ones(3)},
      r"feature_scaler\.epsilon must be a finite number, got None"),
     ("pca", {"mean": np.zeros(3), "components": np.array([[1.0, 0.0, 0.0]]),
-             "eigenvalues": np.ones(3), "k": 1}, r"pca\.tau is missing"),
+             "eigenvalues": np.ones(3)}, r"pca\.tau is missing"),
 ]
 
 
@@ -790,11 +787,16 @@ class TestModelFiles:
             load_model(path)
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS) + ["mlp"])
-    def test_v3_round_trip_keeps_every_array_bit_for_bit(self, kind, tmp_path):
+    def test_round_trip_keeps_every_array_bit_for_bit(self, kind, tmp_path):
         bundle = _bundle_of(kind)
         path = tmp_path / "model.json"
         save_model(path, bundle)
-        assert json.loads(path.read_bytes().partition(b"\n")[0])["version"] == 3
+        doc = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert doc["version"] == network.MODEL_VERSION == 4
+        assert "family" not in doc
+        assert doc["basis"] == (None if kind == "mlp" else ALL_SPECS[kind].to_dict())
+        if bundle.pca is not None:
+            assert list(doc["pca"]) == ["mean", "components", "eigenvalues", "tau"]
         loaded = load_model(path)
         want = _arrays_of(bundle)
         got = _arrays_of(loaded)
@@ -804,9 +806,27 @@ class TestModelFiles:
             np.testing.assert_array_equal(g, w)
         assert (loaded.target_mean, loaded.target_std) == (bundle.target_mean, bundle.target_std)
         assert loaded.meta == bundle.meta
+        assert getattr(loaded.pca, "k", None) == getattr(bundle.pca, "k", None)
+
+    def test_header_key_order_does_not_matter(self, tmp_path):
+        # the payload order belongs to the format, not to the header
+        bundle = _bundle_of("wavelet_mexican_hat")
+        path = tmp_path / "model.json"
+        save_model(path, bundle)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        doc = json.loads(head)
+        path.write_bytes(json.dumps(dict(reversed(doc.items()))).encode("ascii")
+                         + b"\n" + payload)
+        loaded = load_model(path)
+        for g, w in zip(_arrays_of(loaded), _arrays_of(bundle), strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    def test_readme_names_the_format_version(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"format version {network.MODEL_VERSION}" in " ".join(text.split())
 
     @pytest.mark.parametrize("case", list(_DAMAGE))
-    def test_v3_damage_is_a_named_error(self, case, tmp_path, capsys):
+    def test_damage_is_a_named_error(self, case, tmp_path, capsys):
         error, match = _DAMAGE[case]
         table = make_synthetic(20, 3, 2, seed=5)
         data = tmp_path / "t.csv"

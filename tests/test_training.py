@@ -15,11 +15,14 @@ from kanreg.data import (
     apply_standardizer,
     fit_standardizer,
     make_synthetic,
+    save_table,
     split,
 )
+from kanreg.cli import main
 from kanreg.errors import (ContractError, DivergedError, InsufficientDataError, NumericError,
-                           ParameterError)
+                           ParameterError, UndefinedCorrelationError)
 from kanreg.linalg import Rng
+from kanreg.metrics import plcc
 from kanreg.network import auto_configure, forward, init_network, params_of
 from kanreg.training import (
     ADAM_SLICE,
@@ -311,6 +314,18 @@ class TestTrain:
             train(net, table, bad, TrainConfig(seed=7))
 
 
+def _plcc_undefined_on_call(n):
+    """A stand-in for metrics.plcc that raises on its ``n``-th call."""
+    calls = []
+
+    def fake(a, b):
+        calls.append(None)
+        if len(calls) == n:
+            raise UndefinedCorrelationError("constant predictions")
+        return plcc(a, b)
+    return fake
+
+
 class TestGridSearch:
     def test_singleton_grid(self, latent_4d):
         table, splits = latent_4d
@@ -384,6 +399,34 @@ class TestGridSearch:
         assert np.isnan(failed.best_val_loss)
         assert failed.epochs_run == 0
         assert failed.wall_seconds == 0.0
+
+    def test_undefined_correlation_keeps_the_trained_record(self, latent_4d, monkeypatch):
+        # A trial that trained but whose correlations are undefined keeps its
+        # epochs and seconds; only its error and NaN metrics mark it.
+        table, splits = latent_4d
+        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
+        monkeypatch.setattr(training, "plcc", _plcc_undefined_on_call(2))
+        got = grid_search(net, table, splits,
+                          TrainConfig(max_epochs=10, seed=7), grid=(1e-4, 1e-3))
+        assert got.best_index == 0
+        trained = got.rows[1]
+        assert trained.error == "constant predictions"
+        assert np.isnan(trained.plcc) and np.isnan(trained.srcc)
+        assert trained.epochs_run == len(trained.val_curve) >= trained.best_epoch >= 1
+        assert trained.wall_seconds > 0.0 and np.isfinite(trained.best_val_loss)
+
+    def test_undefined_correlation_row_in_lr_grid_csv(self, tmp_path, monkeypatch):
+        data = tmp_path / "t.csv"
+        save_table(make_synthetic(60, 6, 2, 0.0, "quadratic", 3), data)
+        monkeypatch.setattr(training, "plcc", _plcc_undefined_on_call(2))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--lr-grid", "1e-4,1e-3",
+                     "--max-epochs", "5", "--seed", "5", "--out", str(out)]) == 0
+        rows = (out / "lr_grid.csv").read_text().splitlines()[1:]
+        assert rows[0].endswith(",ok")
+        fields = rows[1].split(",")
+        assert fields[0] == "0.001" and fields[-1] == "undefined"
+        assert fields[1:3] == ["nan", "nan"] and int(fields[-2]) >= 1
 
     def test_all_rates_failing_aggregates(self, latent_4d):
         table, splits = latent_4d
