@@ -195,12 +195,13 @@ def _taylor(xf: np.ndarray, spec: BasisSpec):
     """Taylor terms ``x^j / j!`` for j = 0..order; d/dx of term j is term j - 1."""
     vals = np.empty((len(xf), spec.order + 1, xf.shape[1]))
     vals[:, 0] = 1.0
-    for j in range(1, spec.order + 1):
+    vals[:, 1:2] = xf[:, None]  # term 1, (1 * x) / 1, is x bit for bit
+    for j in range(2, spec.order + 1):
         np.multiply(vals[:, j - 1], xf, out=vals[:, j])
         vals[:, j] /= j
 
     def derivative():
-        d = np.zeros_like(vals)
+        d = np.zeros(vals.shape)  # half the call overhead of zeros_like, per backward layer
         d[:, 1:] = vals[:, :-1]
         return d
     return vals, derivative

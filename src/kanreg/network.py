@@ -75,9 +75,10 @@ def mlp_dims(input_dim: int) -> list[int]:
 
 @dataclass
 class GradientSet:
-    """Flat, ordered gradient arrays aligned with :func:`params_of`."""
+    """One gradient buffer, ``flat``, and its views aligned with :func:`params_of`."""
 
     arrays: list[np.ndarray]
+    flat: np.ndarray
 
 
 @dataclass
@@ -159,24 +160,54 @@ def init_mlp(dims, rng: Rng) -> MlpNetwork:
     return MlpNetwork(weights=weights, biases=biases)
 
 
-def params_of(net) -> tuple[list[np.ndarray], list[bool]]:
-    """All trainable arrays of ``net`` in canonical order, with L1 flags.
+def _slots(net) -> list[tuple]:
+    """``(owner, key, role)`` per trainable array in canonical order; ``owner[key]`` is it.
 
-    The flag is true for the arrays an L1 penalty applies to: edge
-    coefficients (KAN) and weight matrices (MLP), never wavelet scales and
-    shifts or biases.
+    L1 penalizes role 0 (edge coefficients, MLP weights); training clamps role 1
+    (wavelet scales) at a floor; role 2 (wavelet shifts, MLP biases) gets neither.
     """
     if isinstance(net, KanNetwork):
-        pairs = []
-        for layer in net.layers:
-            pairs.append((layer.coeffs, True))
-            if layer.scales is not None:
-                pairs += [(layer.scales, False), (layer.shifts, False)]
-    elif isinstance(net, MlpNetwork):
-        pairs = [pair for w, b in zip(net.weights, net.biases) for pair in ((w, True), (b, False))]
-    else:
-        raise ParameterError(f"unsupported network type {type(net).__name__}")
-    return [p for p, _ in pairs], [flag for _, flag in pairs]
+        keys = ("coeffs", "scales", "shifts") if net.spec.family == "wavelet_mexican_hat" \
+            else ("coeffs",)
+        return [(vars(layer), key, role) for layer in net.layers for role, key in enumerate(keys)]
+    if isinstance(net, MlpNetwork):
+        return [(arrays, l, role) for l in range(len(net.weights))
+                for arrays, role in ((net.weights, 0), (net.biases, 2))]
+    raise ParameterError(f"unsupported network type {type(net).__name__}")
+
+
+def params_of(net) -> tuple[list[np.ndarray], list[bool]]:
+    """All trainable arrays of ``net`` in canonical order, with L1 flags (role 0)."""
+    slots = _slots(net)
+    return [owner[key] for owner, key, _ in slots], [role == 0 for *_, role in slots]
+
+
+def _flat_views(net) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new float64 buffer and its views shaped as ``params_of(net)``, stored by role."""
+    slots = _slots(net)
+    flat = np.empty(sum(owner[key].size for owner, key, _ in slots))
+    views = [None] * len(slots)
+    at = 0
+    for i in sorted(range(len(slots)), key=lambda i: slots[i][2]):
+        owner, key, _ = slots[i]
+        views[i] = flat[at:at + owner[key].size].reshape(owner[key].shape)
+        at += owner[key].size
+    return flat, views
+
+
+def bind_flat(net) -> tuple[np.ndarray, list[int]]:
+    """Move the parameters of ``net`` into one buffer, laid out as :func:`backward`'s gradients.
+
+    Every layer array becomes a view of the buffer. Returns it and the
+    element count of each role, which it holds in role order.
+    """
+    flat, views = _flat_views(net)
+    sizes = [0, 0, 0]
+    for (owner, key, role), view in zip(_slots(net), views):
+        view[...] = owner[key]
+        owner[key] = view
+        sizes[role] += view.size
+    return flat, sizes
 
 
 def _as_batch(x, expected_dim: int) -> np.ndarray:
@@ -258,7 +289,7 @@ def _forward_rows(net, x, want_cache: bool):
                 out = val[:, lo:].reshape(n, -1) @ layer.coeffs[:, lo:].reshape(layer.out_dim, -1).T
                 if lo:
                     out += layer.coeffs[:, 0].sum(axis=1)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericError("non-finite activation in forward pass", layer=l)
         if want_cache:  # backward calls derivatives() only for layers it differentiates
             layer_data.append({"input": u, "pre": cur} if dense else
@@ -288,29 +319,32 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         raise ShapeError(f"out_grads has length {g.size}, expected {cache.n}")
     grad = g[:, None]
     squash = not dense and net.spec.squashes_input()
-    per_layer: list[list[np.ndarray]] = [[] for _ in layers]
+    flat, views = _flat_views(net)
+    per = len(views) // len(layers)  # each layer's arrays are consecutive in canonical order
     for l in range(len(layers) - 1, -1, -1):
         data = cache.layer_data[l]
         layer = layers[l]  # a dense layer is its weight matrix
-        # the parameter gradients of layer l
+        # the parameter gradients of layer l, written into their views
+        mine = views[per * l:per * (l + 1)]
         if dense:
-            per_layer[l] = [grad.T @ data["input"], grad.sum(axis=0)]
+            np.matmul(grad.T, data["input"], out=mine[0])
+            np.sum(grad, axis=0, out=mine[1])
         elif layer.scales is not None:  # wavelet
+            coeff_grad, scale_grad, shift_grad = mine
             d_x, d_scale = data["derivatives"]()
-            coeff_grad = np.einsum("no,noi->oi", grad, data["values"])[:, None, :]
+            np.einsum("no,noi->oi", grad, data["values"], out=coeff_grad[:, 0])
             common = grad[:, :, None] * layer.coeffs[:, 0][None, :, :]
-            scale_grad = np.einsum("noi,noi->oi", common, d_scale)
-            shift_grad = -np.einsum("noi,noi->oi", common, d_x)  # d_shift = -d_x
-            per_layer[l] = [coeff_grad, scale_grad, shift_grad]
+            np.einsum("noi,noi->oi", common, d_scale, out=scale_grad)
+            np.einsum("noi,noi->oi", common, d_x, out=shift_grad)
+            np.negative(shift_grad, out=shift_grad)  # d_shift = -d_x
         else:
+            coeff_grad, = mine
             val = data["values"]
             n, lo = val.shape[0], data["lo"]
-            coeff_grad = np.empty(layer.coeffs.shape)
             np.matmul(grad.T, val[:, lo:].reshape(n, -1),
                       out=coeff_grad[:, lo:].reshape(layer.out_dim, -1))
             if lo:
                 coeff_grad[:, 0] = grad.sum(axis=0)[:, None]
-            per_layer[l] = [coeff_grad]
         if l == 0:
             break
         # the gradient with respect to layer l's input
@@ -327,7 +361,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             grad = du * (1.0 - u * u)
         else:
             grad = du
-    return GradientSet(arrays=[g for grads in per_layer for g in grads])
+    return GradientSet(arrays=views, flat=flat)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .errors import (ContractError, DivergedError, InsufficientDataError,
                      NumericError, ParameterError, UndefinedCorrelationError)
 from .linalg import Rng
 from .metrics import plcc, srcc
-from .network import KanNetwork, backward, forward, params_of
+from .network import backward, bind_flat, forward
 
 DEFAULT_LR_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 _WAVELET_SCALE_FLOOR = 1e-3
@@ -62,8 +62,8 @@ class AdamState:
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
-    # two work arrays per parameter (one slice long if it is larger), made by the first step
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    # two flat work arrays, as long as the largest parameter or one slice, made by the first step
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
@@ -84,9 +84,9 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params, grads, and Adam state are misaligned")
-    if not state.scratch:
-        state.scratch = [(np.empty_like(p), np.empty_like(p)) if p.size <= ADAM_SLICE
-                         else (np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)) for p in params]
+    if state.scratch is None:
+        k = min(ADAM_SLICE, max((p.size for p in params), default=0))
+        state.scratch = (np.empty(k), np.empty(k))
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
@@ -111,9 +111,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 def _adam_slices(params, grads, state: AdamState):
     """``(p, g, m, v, a, b)`` per parameter, or per flat slice of a large one."""
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+    a, b = state.scratch
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.size <= ADAM_SLICE:
-            yield p, g, m, v, a, b
+            yield p, g, m, v, a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape)
         elif not p.flags.c_contiguous:  # reshape would copy, and the update be lost
             raise ContractError("Adam updates a large parameter in place; it must be C-contiguous")
         else:
@@ -156,9 +157,10 @@ def check_splits(splits: SplitIndices) -> None:
 def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -> TrainResult:
     """Train ``net`` in place on the table's train split; returns the run record.
 
-    On return the network holds the parameters of the best validation
-    epoch. A non-finite loss raises DivergedError naming the epoch and
-    learning rate, with the NumericError that stopped training as its cause.
+    On return the network holds the parameters of the best validation epoch,
+    as views of one buffer (:func:`bind_flat`). A non-finite loss or Adam
+    moment raises DivergedError naming the epoch and learning rate, with the
+    NumericError that stopped training as its cause.
     """
     check_splits(splits)
     x_train = table.features[splits.train]
@@ -174,20 +176,21 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     y_val = (y_val_raw - t_mean) / t_std
     raw_scale = t_std * t_std
 
-    params, penalized = params_of(net)
-    state = init_adam(params)
+    flat, (n_pen, n_scales, _) = bind_flat(net)
+    scales = flat[n_pen:n_pen + n_scales]  # wavelet scales (else empty), clamped each step
+    state = init_adam([flat])
     n_train = x_train.shape[0]
     batch = n_train if n_train < config.batch_size else config.batch_size
     rng = Rng(config.seed)
     lr = config.learning_rate
-    clamp_scales = isinstance(net, KanNetwork) and net.spec.family == "wavelet_mexican_hat"
+    work = np.empty(n_pen)
 
     start = time.perf_counter()
     best_val = math.inf
     best_epoch = 0
     # The first epoch always improves on best_val = inf (a non-finite val
     # loss raises), so the snapshot and best_val_out are set before use.
-    snapshot = [np.empty_like(p) for p in params]
+    snapshot = np.empty_like(flat)
     streak = 0
     train_curve: list[float] = []
     val_curve: list[float] = []
@@ -196,26 +199,26 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
         for epoch in range(1, config.max_epochs + 1):
             order = list(range(n_train))
             rng.shuffle(order)
+            xs, ys = x_train[order], y_train[order]
             sse = 0.0
             for lo in range(0, n_train, batch):
-                idx = order[lo:lo + batch]
-                xb = x_train[idx]
-                yb = y_train[idx]
+                xb, yb = xs[lo:lo + batch], ys[lo:lo + batch]
                 out, cache = forward(net, xb, want_cache=True)
                 resid = out - yb
                 batch_sse = float(resid @ resid)
                 if not math.isfinite(batch_sse):
                     raise NumericError("non-finite train loss")
                 sse += batch_sse
-                grads = backward(net, cache, (2.0 / len(idx)) * resid)
+                grads = backward(net, cache, (2.0 / len(yb)) * resid)
                 if config.l1_penalty > 0.0:
-                    for g, p, pen in zip(grads.arrays, params, penalized):
-                        if pen:
-                            g += config.l1_penalty * np.sign(p)
-                adam_step(params, grads.arrays, state, lr)
-                if clamp_scales:
-                    for layer in net.layers:
-                        np.maximum(layer.scales, _WAVELET_SCALE_FLOOR, out=layer.scales)
+                    np.sign(flat[:n_pen], out=work)
+                    work *= config.l1_penalty
+                    grads.flat[:n_pen] += work
+                adam_step([flat], [grads.flat], state, lr)
+                if n_scales:
+                    np.maximum(scales, _WAVELET_SCALE_FLOOR, out=scales)
+            if not (np.isfinite(state.m[0]).all() and np.isfinite(state.v[0]).all()):
+                raise NumericError("non-finite Adam moment")
             val_out, _ = forward(net, x_val, want_cache=False)
             val_resid = val_out - y_val
             val_mse = float(val_resid @ val_resid) / val_resid.size
@@ -227,8 +230,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
                 best_val = val_mse
                 best_epoch = epoch
                 best_val_out = val_out
-                for s, p in zip(snapshot, params):
-                    np.copyto(s, p)
+                np.copyto(snapshot, flat)
                 streak = 0
             else:
                 streak += 1
@@ -237,8 +239,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     except NumericError as e:
         raise DivergedError(f"training diverged at epoch {epoch} (lr={lr:g}): {e}",
                             epoch=epoch, learning_rate=lr) from e
-    for p, s in zip(params, snapshot):
-        np.copyto(p, s)
+    np.copyto(flat, snapshot)
     return TrainResult(
         epochs_run=epoch,
         best_epoch=best_epoch,

@@ -518,6 +518,18 @@ class TestBasisSpec:
             np.testing.assert_array_equal(d[..., 2 * n - 1], -w * vals[..., 2 * n])
             np.testing.assert_array_equal(d[..., 2 * n], w * vals[..., 2 * n - 1])
 
+    @pytest.mark.parametrize("order", range(8))
+    def test_taylor_values_match_per_term_recurrence(self, order):
+        # term j is (term j-1 * x) / j bit for bit, term 1 included, at the extremes too
+        x = np.array([[-0.0, 0.0, 1e300, -1e300], [1e-300, -1e-300, 0.37, -2.5]])
+        with np.errstate(over="ignore"):
+            vals, _ = evaluate_basis(BasisSpec.taylor(order), x)
+            want = [np.ones_like(x)]
+            for j in range(1, order + 1):
+                want.append((want[-1] * x) / j)
+        for j in range(order + 1):
+            assert vals[..., j].tobytes() == want[j].tobytes(), j
+
     def test_evaluate_basis_dispatch(self):
         xs = np.linspace(-0.5, 0.5, 5)
         for family in FAMILIES:

@@ -4,6 +4,7 @@ import ast
 import collections
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,11 @@ import numpy as np
 
 import kanreg
 from kanreg import cli
-from kanreg.data import make_synthetic, save_table
+from kanreg.basis import BasisSpec
+from kanreg.data import make_synthetic, save_table, split
+from kanreg.linalg import Rng
+from kanreg.network import init_network
+from kanreg.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -106,6 +111,28 @@ def test_tracer_counts_each_trial_of_a_training_run(tmp_path):
     # the diverged row holds 0 epochs; the tracer adds the epoch it diverged in
     assert tracer.counts["training.epochs"] == sum(int(row[5]) for row in rows) + 1
     assert tracer.counts["training.best_epochs"] > 0
+
+
+def test_tracer_counts_one_span_per_training_step(tmp_path):
+    # BENCHMARK.json's per-layer counts read these spans: `train` must call
+    # forward, backward and adam_step, and forward evaluate_basis, through
+    # their module globals once per step (forward once more per epoch).
+    table = make_synthetic(40, 6, 2, 0.0, "quadratic", 1)
+    splits = split(40, 1)
+    net = init_network([6, 5, 3, 1], BasisSpec.taylor(2), Rng(1))
+    config = TrainConfig(max_epochs=4, patience=4, batch_size=8, seed=1)
+    tracer = _load_tracer().Tracer()
+    tracer.install(kanreg)
+    try:
+        result = kanreg.training.grid_search(net, table, splits, config, grid=(1e-3, 1e-2))
+    finally:
+        tracer.uninstall()
+    epochs = sum(row.epochs_run for row in result.rows)
+    steps = epochs * math.ceil(splits.train.size / config.batch_size)
+    calls = collections.Counter(tracer.names)
+    assert calls["training.adam_step"] == calls["network.backward"] == steps
+    assert calls["network.forward"] == steps + epochs
+    assert calls["basis.evaluate"] == (steps + epochs) * len(net.layers)
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

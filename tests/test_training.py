@@ -1,8 +1,10 @@
 """Optimizer, training loop, early stopping, and the learning-rate grid."""
 
+import copy
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from kanreg.errors import (ContractError, DivergedError, InsufficientDataError, 
                            ParameterError, UndefinedCorrelationError)
 from kanreg.linalg import Rng
 from kanreg.metrics import plcc
-from kanreg.network import auto_configure, forward, init_network, params_of
+from kanreg.network import (KanNetwork, ModelBundle, auto_configure, backward, forward,
+                            init_mlp, init_network, load_model, params_of, save_model)
 from kanreg.training import (
     ADAM_SLICE,
     DEFAULT_LR_GRID,
@@ -271,6 +274,24 @@ class TestTrain:
         assert isinstance(exc.value.__cause__, NumericError)
         assert str(exc.value) == "training diverged at epoch 1 (lr=0.001): non-finite train loss"
 
+    def test_adam_moment_overflow_diverges(self):
+        # A finite gradient near 1e160 squares to inf in Adam's second moment,
+        # which would freeze that coefficient; the end-of-epoch check names it.
+        rng = np.random.default_rng(4)
+        table = FeatureTable("wide", 1e7 * rng.uniform(1.0, 2.0, size=(20, 1)), rng.normal(size=20))
+        splits = split(20, 4)
+        net = init_network([1, 1], BasisSpec.taylor(2), Rng(2))
+        net.layers[0].coeffs[...] = 1e132
+        out, cache = forward(net, table.features[splits.train])
+        grad = backward(net, cache, 2.0 * out / out.size).flat
+        assert np.isfinite(grad).all() and np.abs(grad).max() > 1e159
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergedError) as exc:
+                train(net, table, splits, TrainConfig(learning_rate=1e-3, max_epochs=5, seed=7))
+        assert exc.value.epoch == 1
+        assert isinstance(exc.value.__cause__, NumericError)
+        assert str(exc.value) == "training diverged at epoch 1 (lr=0.001): non-finite Adam moment"
+
     def test_l1_shrinks_coefficients_on_noise(self):
         rng = np.random.default_rng(0)
         noise = FeatureTable("noise", rng.normal(size=(120, 4)), rng.normal(size=120))
@@ -312,6 +333,107 @@ class TestTrain:
         net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         with pytest.raises(InsufficientDataError):
             train(net, table, bad, TrainConfig(seed=7))
+
+
+def _per_array_train(net, table, splits, config):
+    """Train ``net`` for ``config.max_epochs`` epochs with a per-array step.
+
+    Shuffle, gather the batch rows, forward and backward, ``g += l1 * sign(p)``
+    per penalized array, Adam over the array list, then the wavelet clamp.
+    """
+    x = table.features[splits.train]
+    y = table.scores[splits.train]
+    y = (y - float(np.mean(y))) / float(np.std(y))
+    params, penalized = params_of(net)
+    state = init_adam(params)
+    rng = Rng(config.seed)
+    n = len(x)
+    batch = min(n, config.batch_size)
+    wavelet = isinstance(net, KanNetwork) and net.spec.family == "wavelet_mexican_hat"
+    for _ in range(config.max_epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            out, cache = forward(net, x[idx])
+            grads = backward(net, cache, (2.0 / len(idx)) * (out - y[idx])).arrays
+            for g, p, pen in zip(grads, params, penalized):
+                if pen:
+                    g += config.l1_penalty * np.sign(p)
+            adam_step(params, grads, state, config.learning_rate)
+            if wavelet:
+                for layer in net.layers:
+                    np.maximum(layer.scales, 1e-3, out=layer.scales)
+
+
+def _wavelet_near_floor():
+    net = init_network([4, 3, 1], BasisSpec.wavelet(), Rng(2))
+    for layer in net.layers:  # scales a step can push under the clamp
+        layer.scales[...] = np.random.default_rng(1).uniform(2e-3, 0.5, size=layer.scales.shape)
+    return net
+
+
+# kind -> (network factory, a learning rate whose best epoch of 3 is the last)
+_FLAT_NETS = {
+    "taylor2": (lambda: init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2)), 1e-2),
+    "wavelet": (_wavelet_near_floor, 5e-2),
+    "mlp": (lambda: init_mlp([4, 8, 1], Rng(2)), 1e-2),
+}
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("kind", sorted(_FLAT_NETS))
+    def test_train_matches_per_array_step_bit_for_bit(self, latent_4d, kind):
+        table, splits = latent_4d
+        make, lr = _FLAT_NETS[kind]
+        config = TrainConfig(learning_rate=lr, max_epochs=3, patience=3, batch_size=16,
+                             l1_penalty=1e-2, seed=7)
+        net = make()
+        ref = copy.deepcopy(net)
+        _per_array_train(ref, table, splits, config)
+        assert train(net, table, splits, config).best_epoch == 3
+        for got, want in zip(params_of(net)[0], params_of(ref)[0]):
+            assert np.array_equal(got, want)
+        if kind == "wavelet":  # the clamp bound
+            assert any((layer.scales == 1e-3).any() for layer in net.layers)
+
+    @pytest.mark.parametrize("kind", sorted(_FLAT_NETS))
+    def test_parameters_are_views_of_one_buffer(self, latent_4d, kind, tmp_path):
+        table, splits = latent_4d
+        template = _FLAT_NETS[kind][0]()
+        net = grid_search(template, table, splits, TrainConfig(max_epochs=3, seed=7),
+                          grid=(1e-3,)).best_net
+        params, flags = params_of(net)
+        buffer = params[0].base
+        assert buffer.flags.c_contiguous and buffer.size == sum(p.size for p in params)
+        assert all(p.base is buffer for p in params)
+        n_pen = sum(p.size for p, flag in zip(params, flags) if flag)
+        assert [np.shares_memory(p, buffer[:n_pen]) for p in params] == flags
+        assert not any(np.shares_memory(p, t) for p in params for t in params_of(template)[0])
+
+        _, cache = forward(net, table.features[:5])
+        grads = backward(net, cache, np.ones(5))
+        grads.flat[...] = np.arange(grads.flat.size)
+        covered = np.sort(np.concatenate([a.ravel() for a in grads.arrays]))
+        assert np.array_equal(covered, np.arange(grads.flat.size))
+        assert [a.shape for a in grads.arrays] == [p.shape for p in params]
+
+        save_model(tmp_path / "model.json", ModelBundle(net=net))
+        loaded = params_of(load_model(tmp_path / "model.json").net)[0]
+        assert [a.tobytes() for a in loaded] == [p.tobytes() for p in params]
+
+    def test_deepcopy_of_trained_network_trains_on_to_the_same_bits(self, latent_4d):
+        table, splits = latent_4d
+        config = TrainConfig(learning_rate=1e-2, max_epochs=3, l1_penalty=1e-3, seed=7)
+        net = _wavelet_near_floor()
+        train(net, table, splits, config)
+        clone = copy.deepcopy(net)
+        assert not any(np.shares_memory(a, b)
+                       for a in params_of(net)[0] for b in params_of(clone)[0])
+        for n in (net, clone):
+            train(n, table, splits, replace(config, seed=8))
+        assert ([p.tobytes() for p in params_of(clone)[0]]
+                == [p.tobytes() for p in params_of(net)[0]])
 
 
 def _plcc_undefined_on_call(n):
