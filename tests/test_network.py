@@ -309,14 +309,15 @@ class TestBackward:
 
     def test_l1_flags_cover_all_parameters(self):
         # L1 applies to edge coefficients and MLP weights, never to wavelet
-        # scales/shifts or biases; gradients come in the parameters' order.
+        # scales/shifts or biases; the arrays come role by role, and the
+        # gradients in the parameters' order.
         kan = init_network([3, 2, 1], BasisSpec.wavelet(), Rng(0))
         mlp = init_mlp([3, 2, 1], Rng(0))
         cases = [
-            (kan, [a for l in kan.layers for a in (l.coeffs, l.scales, l.shifts)],
-             [True, False, False, True, False, False]),
-            (mlp, [a for pair in zip(mlp.weights, mlp.biases) for a in pair],
-             [True, False, True, False]),
+            (kan, [l.coeffs for l in kan.layers] + [l.scales for l in kan.layers]
+             + [l.shifts for l in kan.layers],
+             [True, True, False, False, False, False]),
+            (mlp, mlp.weights + mlp.biases, [True, True, False, False]),
         ]
         x = np.random.default_rng(0).normal(size=(4, 3))
         for net, arrays, want_flags in cases:
@@ -734,6 +735,23 @@ class TestModelFiles:
         save_model(path, ModelBundle(net=net))
         got, _ = forward(load_model(path).net, probe, want_cache=False)
         np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("kind", ["mlp", "wavelet"])
+    def test_params_buffer_and_file_share_one_order(self, kind, tmp_path):
+        # params_of, the training buffer and the model file's payload all hold
+        # every layer's coefficients (weights), then scales, then shifts (biases)
+        rng = np.random.default_rng(149)
+        net = (init_mlp([5, 4, 3, 1], Rng(151)) if kind == "mlp"
+               else init_network([5, 4, 3, 1], BasisSpec.wavelet(), Rng(151)))
+        for p in params_of(net)[0]:
+            p[...] = rng.uniform(0.5, 2.0, size=p.shape)
+        want = b"".join(p.tobytes() for p in params_of(net)[0])
+        std = Standardizer(means=rng.normal(size=5), stds=rng.uniform(1.0, 2.0, size=5))
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net, standardizer=std))
+        payload = path.read_bytes().partition(b"\n")[2]
+        assert payload == want + std.means.tobytes() + std.stds.tobytes()
+        assert network.bind_flat(net)[0].tobytes() == want
 
     def test_save_is_deterministic(self, tmp_path):
         net = init_network([3, 2, 1], BasisSpec.fourier(2), Rng(53))

@@ -21,7 +21,7 @@ from kanreg.data import (
     split,
 )
 from kanreg.cli import main
-from kanreg.errors import (ContractError, DivergedError, InsufficientDataError, NumericError,
+from kanreg.errors import (DivergedError, InsufficientDataError, NumericError,
                            ParameterError, UndefinedCorrelationError)
 from kanreg.linalg import Rng
 from kanreg.metrics import plcc
@@ -30,7 +30,6 @@ from kanreg.network import (KanNetwork, ModelBundle, auto_configure, backward, f
 from kanreg.training import (
     ADAM_SLICE,
     DEFAULT_LR_GRID,
-    AdamState,
     TrainConfig,
     TrainResult,
     adam_step,
@@ -88,94 +87,94 @@ class TestTrainConfig:
             TrainConfig(l1_penalty=-0.1)
 
 
+def _textbook_adam(ref, m, v, g, t, lr, beta1, beta2, eps):
+    """The textbook Adam update of ``ref``, ``m`` and ``v`` in place, in its operation order."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+    ref -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 class TestAdam:
     def test_zero_grads_leave_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
         state = init_adam(params)
-        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, lr=0.1)
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
-        np.testing.assert_array_equal(params[1], [[3.0]])
+        adam_step(params, np.zeros(3), state, lr=0.1)
+        np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude(self):
         # bias correction makes m_hat = g and v_hat = g^2 on step one, so
         # the update is lr * g / (|g| + eps) ~ lr
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = init_adam(params)
-        adam_step(params, [np.array([1.0])], state, lr=0.1)
-        assert params[0][0] == pytest.approx(-0.1, abs=1e-6)
+        adam_step(params, np.array([1.0]), state, lr=0.1)
+        assert params[0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_step_counter(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = init_adam(params)
         for _ in range(3):
-            adam_step(params, [np.array([1.0])], state, lr=0.1)
+            adam_step(params, np.array([1.0]), state, lr=0.1)
         assert state.step == 3
 
     def test_deterministic_trajectory(self):
         def run():
-            params = [np.array([0.5, -0.5])]
+            params = np.array([0.5, -0.5])
             state = init_adam(params)
             for t in range(10):
                 g = np.array([np.sin(t + 1.0), np.cos(t + 1.0)])
-                adam_step(params, [g], state, lr=0.05)
-            return params[0]
+                adam_step(params, g, state, lr=0.05)
+            return params
         np.testing.assert_array_equal(run(), run())
 
     def test_misaligned_rejected(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = init_adam(params)
         with pytest.raises(ParameterError):
-            adam_step(params, [np.zeros(1), np.zeros(1)], state, lr=0.1)
+            adam_step(params, np.zeros(2), state, lr=0.1)
+        with pytest.raises(ParameterError):
+            adam_step(np.zeros(2), np.zeros(2), state, lr=0.1)
+        assert state.step == 0
 
     def test_matches_textbook_update_bit_for_bit(self):
         rng = np.random.default_rng(19)
-        shapes = [(3,), (2, 4), (2, 3, 2), (1, 1)]
-        params = [rng.normal(size=shape) for shape in shapes]
-        ref = [p.copy() for p in params]
-        ref_m = [np.zeros_like(p) for p in params]
-        ref_v = [np.zeros_like(p) for p in params]
+        n = 3 + 2 * 4 + 2 * 3 * 2 + 1 * 1  # the shapes (3,), (2, 4), (2, 3, 2) and (1, 1)
+        params = rng.normal(size=n)
+        ref = params.copy()
+        ref_m = np.zeros(n)
+        ref_v = np.zeros(n)
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
         state = init_adam(params)
         for t in range(1, 11):
-            grads = [rng.normal(size=shape) for shape in shapes]
+            grads = rng.normal(size=n)
             adam_step(params, grads, state, lr, beta1, beta2, eps)
-            c1 = 1.0 - beta1 ** t
-            c2 = 1.0 - beta2 ** t
-            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
-                m[...] = beta1 * m + (1.0 - beta1) * g
-                v[...] = beta2 * v + (1.0 - beta2) * (g * g)
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            for got, want in zip(params, ref):
-                np.testing.assert_array_equal(got, want)
+            _textbook_adam(ref, ref_m, ref_v, grads, t, lr, beta1, beta2, eps)
+            np.testing.assert_array_equal(params, ref)
 
 
 class TestAdamSlices:
     def test_sliced_parameter_matches_textbook_bit_for_bit(self):
-        # 2.5 slices with a ragged tail, next to two arrays that fit one slice
+        # 2.5 slices and a ragged tail
         rng = np.random.default_rng(29)
-        shapes = [(5, ADAM_SLICE // 2 + 7), (3,), (2, 4)]
-        params = [rng.normal(size=shape) for shape in shapes]
-        ref = [p.copy() for p in params]
-        ref_m = [np.zeros_like(p) for p in params]
-        ref_v = [np.zeros_like(p) for p in params]
+        n = 5 * (ADAM_SLICE // 2 + 7) + 3 + 2 * 4
+        params = rng.normal(size=n)
+        ref = params.copy()
+        ref_m = np.zeros(n)
+        ref_v = np.zeros(n)
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
         state = init_adam(params)
         for t in range(1, 4):
-            grads = [rng.normal(size=shape) for shape in shapes]
+            grads = rng.normal(size=n)
             adam_step(params, grads, state, lr, beta1, beta2, eps)
-            c1 = 1.0 - beta1 ** t
-            c2 = 1.0 - beta2 ** t
-            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
-                m[...] = beta1 * m + (1.0 - beta1) * g
-                v[...] = beta2 * v + (1.0 - beta2) * (g * g)
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            for got, want in zip(params, ref):
-                np.testing.assert_array_equal(got, want)
+            _textbook_adam(ref, ref_m, ref_v, grads, t, lr, beta1, beta2, eps)
+            np.testing.assert_array_equal(params, ref)
 
     def test_large_parameter_needs_no_full_size_scratch(self):
-        params = [np.zeros(2**20)]
-        grads = [np.full(2**20, 0.5)]
+        params = np.zeros(2**20)
+        grads = np.full(2**20, 0.5)
         state = init_adam(params)
+        assert [a.size for a in state.scratch] == [ADAM_SLICE, ADAM_SLICE]
         tracemalloc.start()
         try:
             for _ in range(2):
@@ -185,11 +184,11 @@ class TestAdamSlices:
             tracemalloc.stop()
         assert peak < 4 * ADAM_SLICE * 8
 
-    def test_large_parameter_must_be_contiguous(self):
-        params = [np.zeros((3, ADAM_SLICE)).T]
+    def test_two_dimensional_params_rejected(self):
+        params = np.zeros((3, ADAM_SLICE))
         state = init_adam(params)
-        with pytest.raises(ContractError):
-            adam_step(params, [np.ones_like(params[0])], state, 1e-3)
+        with pytest.raises(ParameterError, match="1-D"):
+            adam_step(params, np.ones_like(params), state, 1e-3)
 
 
 class TestTrain:
@@ -339,13 +338,13 @@ def _per_array_train(net, table, splits, config):
     """Train ``net`` for ``config.max_epochs`` epochs with a per-array step.
 
     Shuffle, gather the batch rows, forward and backward, ``g += l1 * sign(p)``
-    per penalized array, Adam over the array list, then the wavelet clamp.
+    per penalized array, Adam on each array with its own state, then the wavelet clamp.
     """
     x = table.features[splits.train]
     y = table.scores[splits.train]
     y = (y - float(np.mean(y))) / float(np.std(y))
     params, penalized = params_of(net)
-    state = init_adam(params)
+    states = [init_adam(p.reshape(-1)) for p in params]
     rng = Rng(config.seed)
     n = len(x)
     batch = min(n, config.batch_size)
@@ -360,7 +359,8 @@ def _per_array_train(net, table, splits, config):
             for g, p, pen in zip(grads, params, penalized):
                 if pen:
                     g += config.l1_penalty * np.sign(p)
-            adam_step(params, grads, state, config.learning_rate)
+            for p, g, state in zip(params, grads, states):
+                adam_step(p.reshape(-1), g.reshape(-1), state, config.learning_rate)
             if wavelet:
                 for layer in net.layers:
                     np.maximum(layer.scales, 1e-3, out=layer.scales)
