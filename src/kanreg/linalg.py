@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ParameterError, ShapeError
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _DOUBLE_SCALE = 2.0 ** -53
@@ -129,7 +129,7 @@ class Rng:
 
     def __init__(self, seed: int):
         if not 0 <= int(seed) <= _MASK:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         x = int(seed)
         state = []
         for _ in range(4):
@@ -189,7 +189,7 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         if n < 0:
-            raise ValueError("n must be nonnegative")
+            raise ParameterError(f"n must be nonnegative, got {n}")
         if n >= LANE_MIN:
             raw = self._lane_u64(n)
         else:
@@ -198,7 +198,7 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         if n < 0:
-            raise ValueError("n must be nonnegative")
+            raise ParameterError(f"n must be nonnegative, got {n}")
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         u1 = u[0::2]
@@ -212,7 +212,7 @@ class Rng:
 
     def below(self, bound: int) -> int:
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise ParameterError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
     def shuffle(self, seq) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,25 +126,47 @@ def _check_dims(dims) -> list[int]:
     return dims
 
 
-def init_network(dims, spec: BasisSpec, rng: Rng) -> KanNetwork:
-    """Fresh network with coefficients i.i.d. uniform on +-sqrt(6/(in*b + out)).
+def _skeleton(dims: list[int], spec: BasisSpec | None):
+    """The network of checked ``dims`` with each parameter array only its shape tuple.
 
-    Draw order is fixed (layer by layer, coefficients row-major over
-    ``[out, in, b]``, then stored as ``[out, b, in]``) so a given seed always
-    produces the same network. Wavelet edges start at scale 1 and shift 0.
+    KAN layers of basis ``spec``, or the MLP when ``spec`` is None. Init and
+    load fill it by one walk over :func:`_slots`.
     """
-    dims = _check_dims(dims)
+    edges = list(zip(dims[:-1], dims[1:]))
+    if spec is None:
+        return MlpNetwork(weights=[(dout, din) for din, dout in edges],
+                          biases=[(dout,) for _, dout in edges])
     b = basis_size(spec)
     wavelet = spec.family == "wavelet_mexican_hat"
     layers = []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        bound = math.sqrt(6.0 / (din * b + dout))
-        coeffs = (2.0 * rng.uniforms(dout * din * b).reshape(dout, din, b) - 1.0) * bound
-        scales = np.ones((dout, din)) if wavelet else None
-        shifts = np.zeros((dout, din)) if wavelet else None
-        layers.append(KanLayer(din, dout, np.ascontiguousarray(coeffs.transpose(0, 2, 1)),
-                               scales, shifts))
+    for din, dout in edges:
+        edge = (dout, din) if wavelet else None  # the scales and the shifts
+        layers.append(KanLayer(din, dout, (dout, b, din), edge, edge))
     return KanNetwork(spec=spec, layers=layers)
+
+
+def _fresh(dims: list[int], spec: BasisSpec | None, rng: Rng):
+    """A new network: role 0 uniform on +-sqrt(6/(in*b + out)), scales 1, the rest 0.
+
+    Role 0 is drawn layer by layer, row-major over ``[out, in, b]`` (b = 1 for
+    an MLP weight), and stored as ``[out, b, in]``, so a seed fixes the network.
+    """
+    net = _skeleton(dims, spec)
+    for owner, key, role, _ in _slots(net):
+        shape = owner[key]
+        if role:
+            owner[key] = np.full(shape, 1.0 if role == 1 else 0.0)
+            continue
+        dout, din, b = shape[0], shape[-1], math.prod(shape[1:-1])
+        bound = math.sqrt(6.0 / (din * b + dout))
+        draws = (2.0 * rng.uniforms(dout * din * b).reshape(dout, din, b) - 1.0) * bound
+        owner[key] = np.ascontiguousarray(draws.transpose(0, 2, 1)).reshape(shape)
+    return net
+
+
+def init_network(dims, spec: BasisSpec, rng: Rng) -> KanNetwork:
+    """Fresh network (:func:`_fresh`); wavelet edges start at scale 1 and shift 0."""
+    return _fresh(_check_dims(dims), spec, rng)
 
 
 def init_mlp(dims, rng: Rng) -> MlpNetwork:
@@ -151,13 +174,7 @@ def init_mlp(dims, rng: Rng) -> MlpNetwork:
     dims = _check_dims(dims)
     if dims[-1] != 1:
         raise ParameterError(f"regression networks end in one output, got dims {dims}")
-    weights = []
-    biases = []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        bound = math.sqrt(6.0 / (din + dout))
-        weights.append((2.0 * rng.uniforms(dout * din).reshape(dout, din) - 1.0) * bound)
-        biases.append(np.zeros(dout))
-    return MlpNetwork(weights=weights, biases=biases)
+    return _fresh(dims, None, rng)
 
 
 def _slots(net) -> list[tuple]:
@@ -407,14 +424,10 @@ def predict(model: ModelBundle, features) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model files. Version 4 is one JSON header line, then the raw little-endian
-# C-order float64 bytes of every array back to back, in the order the format
-# fixes: the parameters in _slots order (every layer's coefficients, then
-# wavelet scales, then shifts; or MLP weights, then biases); standardizer
-# means and stds; feature-scaler means and stds; PCA mean, components and
-# eigenvalues. In the header each array is just
-# its shape list, coefficients in their memory order [out, b, in]; scalars
-# stay JSON numbers (Python's float repr round-trips exactly), so values
-# round-trip bit for bit and reruns are byte-identical. No other version loads.
+# C-order float64 bytes of every array back to back: the parameters in _slots
+# order and under its header keys, then standardizer, feature-scaler and PCA
+# arrays. The header holds each array's shape list; scalars stay JSON numbers
+# (Python's float repr round-trips exactly), so reruns are byte-identical.
 
 def _shape(arr, name: str, payload: list) -> list:
     """Append ``arr`` to ``payload``; returns its shape for the header."""
@@ -515,20 +528,6 @@ def _object(doc: dict, key: str, nullable: bool = False) -> dict | None:
     return doc[key]
 
 
-def _layer_blocks(doc: dict, key: str, shapes: list[tuple],
-                  payload: _Payload) -> list[np.ndarray]:
-    """The per-layer arrays under ``key``: one per layer, each of its shape."""
-    stored = doc.get(key)
-    _require(isinstance(stored, list) and len(stored) == len(shapes),
-             f"{key} does not hold one shape per layer of layer_dims")
-    arrays = []
-    for l, (header_shape, shape) in enumerate(zip(stored, shapes)):
-        arrays.append(_finite(header_shape, f"{key}[{l}]", payload))
-        _require(arrays[-1].shape == shape,
-                 f"{key}[{l}] has shape {arrays[-1].shape}, expected {shape}")
-    return arrays
-
-
 def load_model(path) -> ModelBundle:
     """Load a version-4 model file, validating every field."""
     with open(path, "rb") as fh:
@@ -554,26 +553,22 @@ def load_model(path) -> ModelBundle:
     for l, d in enumerate(dims):  # the rule _check_dims applies at init
         _require(type(d) is int and d >= 1,
                  f"layer_dims[{l}] must be an integer >= 1, got {d!r}")
-    edges = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]  # [out, in] per layer
     basis = _object(doc, "basis", nullable=True)
-    if basis is None:  # the MLP baseline
-        net: object = MlpNetwork(
-            weights=_layer_blocks(doc, "mlp_weights", edges, payload),
-            biases=_layer_blocks(doc, "mlp_biases", [(dout,) for dout, _ in edges], payload))
-    else:
-        try:
-            spec = BasisSpec.from_dict(basis)
-        except ParameterError as e:
-            raise FormatError(f"basis is invalid: {e}") from None
-        b = basis_size(spec)
-        coeffs = _layer_blocks(doc, "coeffs", [(dout, b, din) for dout, din in edges], payload)
-        scales = shifts = [None] * len(edges)
-        if spec.family == "wavelet_mexican_hat":
-            scales = _layer_blocks(doc, "wavelet_scales", edges, payload)
-            shifts = _layer_blocks(doc, "wavelet_shifts", edges, payload)
-        net = KanNetwork(spec=spec, layers=[
-            KanLayer(din, dout, c, s, t)
-            for (dout, din), c, s, t in zip(edges, coeffs, scales, shifts)])
+    try:
+        spec = None if basis is None else BasisSpec.from_dict(basis)  # None: the MLP
+    except ParameterError as e:
+        raise FormatError(f"basis is invalid: {e}") from None
+    net = _skeleton(dims, spec)
+    read = Counter()  # arrays read per header key
+    for owner, key, _, block in _slots(net):
+        shapes, l = doc.get(block), read[block]
+        _require(isinstance(shapes, list) and len(shapes) == len(dims) - 1,
+                 f"{block} does not hold one shape per layer of layer_dims")
+        arr = _finite(shapes[l], f"{block}[{l}]", payload)
+        _require(arr.shape == owner[key],
+                 f"{block}[{l}] has shape {arr.shape}, expected {owner[key]}")
+        owner[key] = arr
+        read[block] += 1
 
     def _std_from(name):
         block = _object(doc, name, nullable=True)

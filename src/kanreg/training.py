@@ -198,6 +198,7 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
                     work *= config.l1_penalty
                     grads.flat[:n_pen] += work
                 adam_step(flat, grads.flat, state, lr)
+                del grads  # so the next backward's buffer is the only one alive
                 if n_scales:
                     np.maximum(scales, _WAVELET_SCALE_FLOOR, out=scales)
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kanreg.errors import (
     ContractError,
+    KanregError,
     NumericError,
     ShapeError,
 )
@@ -117,6 +118,14 @@ class TestRngStream:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(1 << 64)
+
+    @pytest.mark.parametrize("call", [lambda: Rng(-1), lambda: Rng(1 << 64),
+                                      lambda: Rng(0).uniforms(-1), lambda: Rng(0).normals(-1),
+                                      lambda: Rng(0).below(0)],
+                             ids=["seed_negative", "seed_65_bits", "uniforms", "normals", "below"])
+    def test_bad_arguments_are_package_errors(self, call):
+        with pytest.raises(KanregError):
+            call()
 
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
            st.integers(min_value=2, max_value=50))

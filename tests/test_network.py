@@ -1,6 +1,7 @@
 """Network composition, auto-configuration, gradients, and model files."""
 
 import copy
+import hashlib
 import json
 import math
 import re
@@ -98,7 +99,32 @@ class TestAutoConfigure:
         assert mlp_dims(100) == [100, 1024, 512, 256, 128, 1]
 
 
+# SHA-256 of the params_of bytes of a fresh [70, 20, 3, 1] network from Rng(181),
+# frozen so that a change to init moves no draw, bound or fill value. Its first
+# layer takes lane draws where b >= 3, the other layers single steps.
+_INIT_DIGESTS = {
+    "bspline": "f6eb50c142acee65ad1e70a5fabbb8d1fcb5611d11ab2b10ae82405b71a03fbf",
+    "bsrbf": "c7f1b01cf5c5b67f2244d08359dd90dcbc4e7c96bc86709ee4eb62c6e049767f",
+    "chebyshev": "f79754593a6ff69772df7bf356142de7e410cd916f5379eb61cb774b8e57c73e",
+    "fourier": "cad3717b8eb83c87288a319f5b7679323f29b1a8c2a13b984e629afb7995597f",
+    "gaussian_rbf": "f6eb50c142acee65ad1e70a5fabbb8d1fcb5611d11ab2b10ae82405b71a03fbf",
+    "hermite": "f79754593a6ff69772df7bf356142de7e410cd916f5379eb61cb774b8e57c73e",
+    "jacobi": "6c6d137bf5c99cbff5f6ad10395880474d03b14d341c885fdfc7dfa8ba2bb5c7",
+    "taylor": "3d1f5d4151f8d7d30586fee70770163e8027929051b905e07e0bb0ce6b452187",
+    "wavelet_mexican_hat": "bd16d19bb20b3788292529b0b85b92ee618d25d3b057a8d7423e1c751b97e2ac",
+    "mlp": "ba0cc68563d552489e81fd8ccd0b899fded0a09192c10f2ace9c7b48e7b0318b",
+}
+
+
 class TestInit:
+    @pytest.mark.parametrize("kind", sorted(_INIT_DIGESTS))
+    def test_draws_are_frozen(self, kind):
+        dims = [70, 20, 3, 1]
+        net = (init_mlp(dims, Rng(181)) if kind == "mlp"
+               else init_network(dims, ALL_SPECS[kind], Rng(181)))
+        blob = b"".join(p.tobytes() for p in params_of(net)[0])
+        assert hashlib.sha256(blob).hexdigest() == _INIT_DIGESTS[kind]
+
     def test_same_seed_identical(self):
         a = init_network([5, 8, 1], BasisSpec.taylor(2), Rng(7))
         b = init_network([5, 8, 1], BasisSpec.taylor(2), Rng(7))
@@ -793,6 +819,50 @@ class TestModelFiles:
         with pytest.raises(FormatError,
                            match=r"coeffs\[0\] has shape \(1, 3, 3\), expected \(1, 3, 4\)"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", ["taylor", "mlp"])
+    @pytest.mark.parametrize("width", [10**30, 2**62])
+    @pytest.mark.parametrize("with_block", [False, True])
+    def test_huge_layer_dims_are_format_errors(self, kind, width, with_block, tmp_path):
+        # the skeleton holds shapes, not arrays, so no width reaches NumPy
+        # before the header's block shapes and the payload length are checked
+        net = init_mlp([3, 1], Rng(197)) if kind == "mlp" else init_network(
+            [3, 1], BasisSpec.taylor(2), Rng(197))
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net))
+        _rewrite(path, "layer_dims", [width, 1])
+        block = "mlp_weights" if kind == "mlp" else "coeffs"
+        if with_block:  # the header claims the block too
+            _rewrite(path, block, [[1, width] if kind == "mlp" else [1, 3, width]])
+        match = rf"{block}\[0\] (needs payload bytes|has shape .* expected)"
+        with pytest.raises(FormatError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["mlp", "wavelet"])
+    def test_load_walks_the_slot_order(self, kind, tmp_path, monkeypatch):
+        # save and load both follow _slots: listing its roles in another order
+        # changes the payload, not the round trip
+        slots = network._slots
+        monkeypatch.setattr(network, "_slots",
+                            lambda net: sorted(slots(net), key=lambda slot: -slot[2]))
+        rng = np.random.default_rng(199)
+        net = (init_mlp([5, 4, 3, 1], Rng(211)) if kind == "mlp"
+               else init_network([5, 4, 3, 1], BasisSpec.wavelet(), Rng(211)))
+        for p in params_of(net)[0]:
+            p[...] = rng.uniform(0.5, 2.0, size=p.shape)
+        path = tmp_path / "model.json"
+        save_model(path, ModelBundle(net=net))
+        first = net.biases[0] if kind == "mlp" else net.layers[0].shifts
+        assert path.read_bytes().partition(b"\n")[2].startswith(first.tobytes())
+        loaded = load_model(path).net
+        if kind == "mlp":
+            pairs = zip(loaded.weights + loaded.biases, net.weights + net.biases, strict=True)
+        else:
+            pairs = ((getattr(got, key), getattr(want, key))
+                     for got, want in zip(loaded.layers, net.layers, strict=True)
+                     for key in ("coeffs", "scales", "shifts"))
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("field, value, match", [
         pytest.param(*case, id=f"{case[0]}-value{i}") for i, case in enumerate(_MALFORMED)])

@@ -1,6 +1,7 @@
 """Guards for the benchmark tooling and the package's dependency rule."""
 
 import ast
+import builtins
 import collections
 import importlib
 import importlib.util
@@ -151,6 +152,30 @@ def test_package_imports_only_numpy_and_the_stdlib():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_package_raises_only_its_own_errors():
+    # Every library failure is a KanregError (errors.py), which the CLI maps to
+    # exit code 1; a builtin exception raised in the package would escape that.
+    # Allowed: bare re-raises, and the ArgumentTypeError argparse prints.
+    allowed = {("cli.py", "_parse_u64", "argparse.ArgumentTypeError")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        owner = {}  # raise node -> innermost enclosing function
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Raise))
+        for node, func in owner.items():
+            if node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            builtin = getattr(builtins, name, None)
+            if ((isinstance(builtin, type) and issubclass(builtin, BaseException))
+                    or "." in name) and (path.name, func, name) not in allowed:
+                found.append(f"{path.name}:{node.lineno} {func} raises {name}")
+    assert found == []
 
 
 def test_benchmark_selftest_passes():

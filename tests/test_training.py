@@ -325,6 +325,21 @@ class TestTrain:
             blobs.append(b"".join(p.tobytes() for p in params_of(net)[0]))
         assert blobs[0] == blobs[1]
 
+    def test_one_gradient_buffer_alive_per_step(self):
+        # The buffer, Adam's two moments, the snapshot, the L1 work array and
+        # one gradient buffer are six parameter-sized arrays; the previous
+        # step's gradients alive during the next backward would be a seventh.
+        table = make_synthetic(40, 512, 4, 0.0, "quadratic", 3)
+        net = init_network([512, 256, 1], BasisSpec.chebyshev(3), Rng(3))
+        nbytes = sum(p.nbytes for p in params_of(net)[0])
+        tracemalloc.start()
+        try:
+            train(net, table, split(40, 3), TrainConfig(max_epochs=2, batch_size=8, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.8 * nbytes
+
     def test_empty_val_split_rejected(self, latent_4d):
         table, _ = latent_4d
         bad = SplitIndices(train=np.arange(50), val=np.arange(0),
