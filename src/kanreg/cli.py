@@ -317,10 +317,13 @@ def _train_and_score(table: FeatureTable, prepared, cfg: dict,
     """
     splits, standardizer, pca_model, scaler, feats = prepared
     work = FeatureTable(name=table.name, features=feats, scores=table.scores)
-    init_rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
-    net = init_mlp(dims, init_rng) if spec is None else init_network(dims, spec, init_rng)
+
+    def make_net():  # each rate's network, from the same seed
+        rng = Rng((cfg["seed"] + 1) & _SEED_MASK)
+        return init_mlp(dims, rng) if spec is None else init_network(dims, spec, rng)
+
     grid = cfg["lr_grid"] if cfg["lr"] is None else (cfg["lr"],)
-    search = grid_search(net, work, splits, _train_config(cfg), grid)
+    search = grid_search(make_net, work, splits, _train_config(cfg), grid)
     best = search.best_result
     meta = {
         "dataset": table.name, "basis": cfg["basis"],

@@ -179,10 +179,14 @@ class Rng:
             i += 1
         s1, snapshot = _step_lanes(_state_words(starts), steps, n - (lanes - 1) * steps)
         self._s = [int(w) for w in snapshot[:, -1]]
-        r = s1[:steps] * np.uint64(5)
-        r = (r << np.uint64(7)) | (r >> np.uint64(57))
+        r = s1[:steps]  # mixed in place: rotl(r * 5, 7) * 9
+        r *= np.uint64(5)
+        t = r >> np.uint64(57)
+        r <<= np.uint64(7)
+        r |= t
         r *= np.uint64(9)
-        return r.T.ravel()[:n]
+        t.reshape(lanes, steps)[...] = r.T  # lane by lane, into the shift's memory
+        return t.reshape(-1)[:n]
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * _DOUBLE_SCALE
@@ -194,7 +198,8 @@ class Rng:
             raw = self._lane_u64(n)
         else:
             raw = np.array(self._bulk_u64(n), dtype=np.uint64)
-        return (raw >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+        raw >>= np.uint64(11)
+        return raw * _DOUBLE_SCALE  # one float64 array; the cast is exact below 2^53
 
     def normals(self, n: int) -> np.ndarray:
         if n < 0:

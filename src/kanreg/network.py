@@ -78,8 +78,8 @@ def mlp_dims(input_dim: int) -> list[int]:
 class GradientSet:
     """One gradient buffer, ``flat``, and its views aligned with :func:`params_of`."""
 
-    arrays: list[np.ndarray]
     flat: np.ndarray
+    arrays: list[np.ndarray]
 
 
 @dataclass
@@ -159,7 +159,10 @@ def _fresh(dims: list[int], spec: BasisSpec | None, rng: Rng):
             continue
         dout, din, b = shape[0], shape[-1], math.prod(shape[1:-1])
         bound = math.sqrt(6.0 / (din * b + dout))
-        draws = (2.0 * rng.uniforms(dout * din * b).reshape(dout, din, b) - 1.0) * bound
+        draws = rng.uniforms(dout * din * b).reshape(dout, din, b)
+        draws *= 2.0  # (2u - 1) * bound, in place
+        draws -= 1.0
+        draws *= bound
         owner[key] = np.ascontiguousarray(draws.transpose(0, 2, 1)).reshape(shape)
     return net
 
@@ -318,9 +321,10 @@ def _forward_rows(net, x, want_cache: bool):
     return cur[:, 0], cache
 
 
-def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
+def backward(net, cache: ForwardCache, out_grads, out: GradientSet | None = None) -> GradientSet:
     """Reverse-mode gradients of ``sum(out_grads * outputs)`` w.r.t. params.
 
+    They overwrite and return ``out`` (``GradientSet(*_flat_views(net))``), else a new buffer.
     ``cache`` must come from a :func:`forward` call on the same network
     object with caching enabled, otherwise a ContractError is raised.
     The gradient with respect to the network input (layer 0's input
@@ -337,12 +341,12 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
         raise ShapeError(f"out_grads has length {g.size}, expected {cache.n}")
     grad = g[:, None]
     squash = not dense and net.spec.squashes_input()
-    flat, views = _flat_views(net)
+    grads = GradientSet(*_flat_views(net)) if out is None else out
     for l in range(len(layers) - 1, -1, -1):
         data = cache.layer_data[l]
         layer = layers[l]  # a dense layer is its weight matrix
         # the parameter gradients of layer l, written into their views
-        mine = views[l::len(layers)]
+        mine = grads.arrays[l::len(layers)]
         if dense:
             np.matmul(grad.T, data["input"], out=mine[0])
             np.sum(grad, axis=0, out=mine[1])
@@ -378,7 +382,7 @@ def backward(net, cache: ForwardCache, out_grads) -> GradientSet:
             grad = du * (1.0 - u * u)
         else:
             grad = du
-    return GradientSet(arrays=views, flat=flat)
+    return grads
 
 
 @dataclass

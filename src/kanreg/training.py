@@ -14,7 +14,6 @@ are unchanged) and all reported losses are mapped back to the raw scale.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from .errors import (DivergedError, InsufficientDataError, NumericError, Paramet
                      UndefinedCorrelationError)
 from .linalg import Rng
 from .metrics import plcc, srcc
-from .network import backward, bind_flat, forward
+from .network import GradientSet, _flat_views, backward, bind_flat, forward
 
 DEFAULT_LR_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 _WAVELET_SCALE_FLOOR = 1e-3
@@ -166,7 +165,8 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
     batch = n_train if n_train < config.batch_size else config.batch_size
     rng = Rng(config.seed)
     lr = config.learning_rate
-    work = np.empty(n_pen)
+    grads = GradientSet(*_flat_views(net))  # backward writes every step's gradients here
+    work = np.empty(n_pen) if config.l1_penalty > 0.0 else None
 
     start = time.perf_counter()
     best_val = math.inf
@@ -192,13 +192,12 @@ def train(net, table: FeatureTable, splits: SplitIndices, config: TrainConfig) -
                 if not math.isfinite(batch_sse):
                     raise NumericError("non-finite train loss")
                 sse += batch_sse
-                grads = backward(net, cache, (2.0 / len(yb)) * resid)
-                if config.l1_penalty > 0.0:
+                backward(net, cache, (2.0 / len(yb)) * resid, out=grads)
+                if work is not None:
                     np.sign(flat[:n_pen], out=work)
                     work *= config.l1_penalty
                     grads.flat[:n_pen] += work
                 adam_step(flat, grads.flat, state, lr)
-                del grads  # so the next backward's buffer is the only one alive
                 if n_scales:
                     np.maximum(scales, _WAVELET_SCALE_FLOOR, out=scales)
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
@@ -253,9 +252,12 @@ class GridSearchResult:
         return self.best_result.learning_rate
 
 
-def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
+def grid_search(make_net, table: FeatureTable, splits: SplitIndices,
                 config: TrainConfig, grid=None) -> GridSearchResult:
-    """Train one clone of ``net_template`` per learning rate, in grid order; select one.
+    """Train one network per learning rate, in grid order; select one.
+
+    ``make_net()`` builds each rate's network just before its trial, so every
+    rate starts from the same parameters when it returns the same network.
 
     Selection maximizes validation PLCC + SRCC; ties keep the earliest grid
     entry. Only the best network so far is kept: a trial's network is
@@ -272,7 +274,7 @@ def grid_search(net_template, table: FeatureTable, splits: SplitIndices,
     rows: list[TrainResult] = []
     best_score, best_index, best_net = -math.inf, None, None  # of the best trial so far
     for i, lr in enumerate(grid):
-        net = copy.deepcopy(net_template)
+        net = make_net()
         try:
             result = train(net, table, splits, replace(config, learning_rate=lr))
             result.plcc, result.srcc = (plcc(result.val_predictions, y_val),

@@ -17,7 +17,7 @@ from kanreg import cli
 from kanreg.basis import BasisSpec
 from kanreg.data import make_synthetic, save_table, split
 from kanreg.linalg import Rng
-from kanreg.network import init_network
+from kanreg.network import init_network, load_model, params_of
 from kanreg.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,12 +120,15 @@ def test_tracer_counts_one_span_per_training_step(tmp_path):
     # their module globals once per step (forward once more per epoch).
     table = make_synthetic(40, 6, 2, 0.0, "quadratic", 1)
     splits = split(40, 1)
-    net = init_network([6, 5, 3, 1], BasisSpec.taylor(2), Rng(1))
+
+    def make_net():
+        return init_network([6, 5, 3, 1], BasisSpec.taylor(2), Rng(1))
+
     config = TrainConfig(max_epochs=4, patience=4, batch_size=8, seed=1)
     tracer = _load_tracer().Tracer()
     tracer.install(kanreg)
     try:
-        result = kanreg.training.grid_search(net, table, splits, config, grid=(1e-3, 1e-2))
+        result = kanreg.training.grid_search(make_net, table, splits, config, grid=(1e-3, 1e-2))
     finally:
         tracer.uninstall()
     epochs = sum(row.epochs_run for row in result.rows)
@@ -133,7 +136,30 @@ def test_tracer_counts_one_span_per_training_step(tmp_path):
     calls = collections.Counter(tracer.names)
     assert calls["training.adam_step"] == calls["network.backward"] == steps
     assert calls["network.forward"] == steps + epochs
-    assert calls["basis.evaluate"] == (steps + epochs) * len(net.layers)
+    assert calls["basis.evaluate"] == (steps + epochs) * len(make_net().layers)
+
+
+def test_tracer_counts_one_init_per_rate(tmp_path):
+    # Every rate's network is built inside the grid from the run's seed, so
+    # `network.init` and `linalg.rng_draws` scale with the grid's length.
+    data = tmp_path / "t.bin"
+    save_table(make_synthetic(40, 6, 2, 0.0, "quadratic", 1), data)
+    grid = (1e-4, 1e-3, 1e-2)
+    tracer = _load_tracer().Tracer()
+    tracer.install(kanreg)
+    try:
+        code = tracer.call("cli", cli.main, [
+            "train", "--basis", "taylor", "--order", "2", "--tau", "1.0",
+            "--lr-grid", ",".join(map(str, grid)), "--max-epochs", "2",
+            "--data", str(data), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    inits = [i for i, name in enumerate(tracer.names) if name == "network.init"]
+    assert len(inits) == len(grid)
+    assert all(tracer.names[tracer.parents[i]] == "training.grid_search" for i in inits)
+    n_params = sum(p.size for p in params_of(load_model(tmp_path / "out" / "model.json").net)[0])
+    assert tracer.counts["linalg.rng_draws"] == len(grid) * n_params
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kanreg import training
-from kanreg.basis import BasisSpec
+from kanreg.basis import FAMILIES, BasisSpec
 from kanreg.data import (
     FeatureTable,
     SplitIndices,
@@ -25,8 +25,9 @@ from kanreg.errors import (DivergedError, InsufficientDataError, NumericError,
                            ParameterError, UndefinedCorrelationError)
 from kanreg.linalg import Rng
 from kanreg.metrics import plcc
-from kanreg.network import (KanNetwork, ModelBundle, auto_configure, backward, forward,
-                            init_mlp, init_network, load_model, params_of, save_model)
+from kanreg.network import (GradientSet, KanNetwork, ModelBundle, _flat_views, auto_configure,
+                            backward, forward, init_mlp, init_network, load_model, params_of,
+                            save_model)
 from kanreg.training import (
     ADAM_SLICE,
     DEFAULT_LR_GRID,
@@ -415,16 +416,24 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("kind", sorted(_FLAT_NETS))
     def test_parameters_are_views_of_one_buffer(self, latent_4d, kind, tmp_path):
         table, splits = latent_4d
-        template = _FLAT_NETS[kind][0]()
-        net = grid_search(template, table, splits, TrainConfig(max_epochs=3, seed=7),
-                          grid=(1e-3,)).best_net
+        made = []
+
+        def make_net():
+            made.append(_FLAT_NETS[kind][0]())
+            return made[-1]
+
+        net = grid_search(make_net, table, splits, TrainConfig(max_epochs=3, seed=7),
+                          grid=(1e-3, 1e-2)).best_net
         params, flags = params_of(net)
         buffer = params[0].base
         assert buffer.flags.c_contiguous and buffer.size == sum(p.size for p in params)
         assert all(p.base is buffer for p in params)
         n_pen = sum(p.size for p, flag in zip(params, flags) if flag)
         assert [np.shares_memory(p, buffer[:n_pen]) for p in params] == flags
-        assert not any(np.shares_memory(p, t) for p in params for t in params_of(template)[0])
+        others = [other for other in made if other is not net] + [make_net()]
+        assert len(others) == 2
+        assert not any(np.shares_memory(p, q)
+                       for other in others for p in params for q in params_of(other)[0])
 
         _, cache = forward(net, table.features[:5])
         grads = backward(net, cache, np.ones(5))
@@ -436,6 +445,37 @@ class TestFlatBuffer:
         save_model(tmp_path / "model.json", ModelBundle(net=net))
         loaded = params_of(load_model(tmp_path / "model.json").net)[0]
         assert [a.tobytes() for a in loaded] == [p.tobytes() for p in params]
+
+    @pytest.mark.parametrize("kind", [*FAMILIES, "mlp"])
+    def test_backward_into_out_matches_a_fresh_buffer_bit_for_bit(self, kind):
+        # 64 rows x 64 inputs x 128 outputs reach BIAS_MIN, so the
+        # constant-first families also take their split-bias branch.
+        x = np.random.default_rng(5).normal(size=(64, 64))
+        net = (init_mlp([64, 128, 1], Rng(5)) if kind == "mlp"
+               else init_network([64, 128, 1], BasisSpec(family=kind), Rng(5)))
+        out = GradientSet(*_flat_views(net))
+        out.flat[...] = np.nan  # every element must be overwritten
+        out_grads = np.linspace(-1.0, 1.0, 64)
+        got = backward(net, forward(net, x)[1], out_grads, out=out)
+        want = backward(net, forward(net, x)[1], out_grads)
+        assert got is out and want.flat is not out.flat
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert all(a.base is out.flat for a in got.arrays)
+
+    @pytest.mark.parametrize("l1", [0.0, 1e-2])
+    def test_train_hands_backward_one_buffer(self, latent_4d, monkeypatch, l1):
+        table, splits = latent_4d
+        buffers = []
+        real_backward = training.backward
+
+        def spy(*args, out):
+            buffers.append(out)
+            return real_backward(*args, out=out)
+
+        monkeypatch.setattr(training, "backward", spy)
+        train(_FLAT_NETS["taylor2"][0](), table, splits,
+              TrainConfig(max_epochs=2, batch_size=16, l1_penalty=l1, seed=7))
+        assert len(buffers) > 2 and all(b is buffers[0] for b in buffers)
 
     def test_deepcopy_of_trained_network_trains_on_to_the_same_bits(self, latent_4d):
         table, splits = latent_4d
@@ -449,6 +489,14 @@ class TestFlatBuffer:
             train(n, table, splits, replace(config, seed=8))
         assert ([p.tobytes() for p in params_of(clone)[0]]
                 == [p.tobytes() for p in params_of(net)[0]])
+
+
+def _taylor_4d():
+    return init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
+
+
+def _taylor_1d():
+    return init_network([1, 8, 1], BasisSpec.taylor(2), Rng(2))
 
 
 def _plcc_undefined_on_call(n):
@@ -466,24 +514,21 @@ def _plcc_undefined_on_call(n):
 class TestGridSearch:
     def test_singleton_grid(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_4d, table, splits,
                           TrainConfig(max_epochs=20, seed=7), grid=(1e-3,))
         assert got.best_lr == 1e-3
         assert len(got.rows) == 1
 
     def test_one_row_per_rate(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         grid = (1e-4, 1e-3, 1e-2)
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_4d, table, splits,
                           TrainConfig(max_epochs=10, seed=7), grid=grid)
         assert [row.learning_rate for row in got.rows] == list(grid)
 
     def test_planted_optimum_selected(self, latent_1d):
         table, splits = latent_1d
-        net = init_network([1, 8, 1], BasisSpec.taylor(2), Rng(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_1d, table, splits,
                           TrainConfig(max_epochs=60, seed=7), grid=(1e-5, 1e-3))
         assert got.best_lr == 1e-3
         slow, fast = got.rows
@@ -491,16 +536,14 @@ class TestGridSearch:
 
     def test_tie_keeps_earliest_entry(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_4d, table, splits,
                           TrainConfig(max_epochs=10, seed=7), grid=(1e-3, 1e-3))
         assert got.best_index == 0
 
     def test_failed_rate_keeps_row(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = grid_search(net, table, splits,
+            got = grid_search(_taylor_4d, table, splits,
                               TrainConfig(max_epochs=10, seed=7),
                               grid=(1e-3, 1e200))
         assert got.best_index == 0
@@ -511,8 +554,7 @@ class TestGridSearch:
         # Each rate has one record, the one train returned: the search adds
         # the validation correlations to it and copies nothing.
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_4d, table, splits,
                           TrainConfig(max_epochs=10, seed=7), grid=(1e-4, 1e-3))
         assert all(isinstance(row, TrainResult) for row in got.rows)
         assert [row.learning_rate for row in got.rows] == [1e-4, 1e-3]
@@ -524,9 +566,8 @@ class TestGridSearch:
 
     def test_failed_rate_row_holds_no_run(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = grid_search(net, table, splits,
+            got = grid_search(_taylor_4d, table, splits,
                               TrainConfig(max_epochs=10, seed=7),
                               grid=(1e-3, 1e200))
         failed = got.rows[1]
@@ -541,9 +582,8 @@ class TestGridSearch:
         # A trial that trained but whose correlations are undefined keeps its
         # epochs and seconds; only its error and NaN metrics mark it.
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         monkeypatch.setattr(training, "plcc", _plcc_undefined_on_call(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_4d, table, splits,
                           TrainConfig(max_epochs=10, seed=7), grid=(1e-4, 1e-3))
         assert got.best_index == 0
         trained = got.rows[1]
@@ -567,25 +607,22 @@ class TestGridSearch:
 
     def test_all_rates_failing_aggregates(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedError):
-                grid_search(net, table, splits,
+                grid_search(_taylor_4d, table, splits,
                             TrainConfig(max_epochs=10, seed=7),
                             grid=(1e200, 1e250))
 
     def test_empty_grid_rejected(self, latent_4d):
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         with pytest.raises(ParameterError):
-            grid_search(net, table, splits, TrainConfig(seed=7), grid=())
+            grid_search(_taylor_4d, table, splits, TrainConfig(seed=7), grid=())
         with pytest.raises(ParameterError):
-            grid_search(net, table, splits, TrainConfig(seed=7), grid=(0.0, 1e-3))
+            grid_search(_taylor_4d, table, splits, TrainConfig(seed=7), grid=(0.0, 1e-3))
 
     def test_best_net_matches_best_row(self, latent_1d):
         table, splits = latent_1d
-        net = init_network([1, 8, 1], BasisSpec.taylor(2), Rng(2))
-        got = grid_search(net, table, splits,
+        got = grid_search(_taylor_1d, table, splits,
                           TrainConfig(max_epochs=30, seed=7), grid=(1e-4, 1e-3))
         out, _ = forward(got.best_net, table.features[splits.val], want_cache=False)
         pred = out * got.best_result.target_std + got.best_result.target_mean
@@ -597,7 +634,6 @@ class TestGridSearch:
         # A losing trial's network is dropped before the next trial trains,
         # so a grid of any length holds the best network so far and the new one.
         table, splits = latent_4d
-        net = init_network([4, 8, 1], BasisSpec.taylor(2), Rng(2))
         trial_nets, alive = [], []
         real_train = training.train
 
@@ -608,7 +644,50 @@ class TestGridSearch:
             return real_train(trial_net, *args)
 
         monkeypatch.setattr(training, "train", spy)
-        got = grid_search(net, table, splits, TrainConfig(max_epochs=5, seed=7),
+        got = grid_search(_taylor_4d, table, splits, TrainConfig(max_epochs=5, seed=7),
                           grid=(1e-4, 1e-3, 1e-2, 5e-2))
         assert len(alive) == 4 and max(alive) <= 1
         assert trial_nets[got.best_index]() is got.best_net
+
+    def test_one_rate_grid_holds_only_the_trial_network(self, latent_4d, monkeypatch):
+        # The grid keeps no template: while a one-rate grid trains, the
+        # network it trains is the only one that make_net has built.
+        table, splits = latent_4d
+        made, alive = [], []
+        real_train = training.train
+
+        def make_net():
+            net = _taylor_4d()
+            made.append(weakref.ref(net))
+            return net
+
+        def spy(trial_net, *args):
+            gc.collect()
+            alive.append([ref() for ref in made if ref() is not None])
+            return real_train(trial_net, *args)
+
+        monkeypatch.setattr(training, "train", spy)
+        got = grid_search(make_net, table, splits, TrainConfig(max_epochs=3, seed=7),
+                          grid=(1e-3,))
+        assert len(made) == 1 and len(alive) == 1
+        assert len(alive[0]) == 1 and alive[0][0] is got.best_net
+
+    def test_one_rate_grid_peak_memory(self):
+        # Init, then the trial: the buffer, Adam's two moments, the snapshot and
+        # one gradient buffer are five parameter-sized arrays. A template held
+        # through the trial, or an L1 work array at l1 = 0, would be a sixth.
+        table = make_synthetic(40, 512, 4, 0.0, "quadratic", 3)
+
+        def make_net():
+            return init_network([512, 256, 1], BasisSpec.chebyshev(3), Rng(3))
+
+        nbytes = sum(p.nbytes for p in params_of(make_net())[0])
+        tracemalloc.start()
+        try:
+            grid_search(make_net, table, split(40, 3),
+                        TrainConfig(max_epochs=3, batch_size=8, l1_penalty=0.0, seed=3),
+                        grid=(1e-3,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * nbytes
